@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-kernels perf chaos serve-smoke cluster-chaos audit variant-audit timeline batch-smoke trace-smoke tier1
+.PHONY: all build test race vet bench bench-kernels perf chaos serve-smoke cluster-chaos audit variant-audit timeline batch-smoke trace-smoke perfbench-test tier1
 
 all: tier1
 
@@ -88,12 +88,19 @@ trace-smoke:
 batch-smoke:
 	$(GO) test -race -run TestBatchSmoke -v -count=1 ./internal/serve
 
+# The benchmark's own package tests. perfbench is a nested module (it
+# reaches the program through `replace repro => ../`), so ./... never
+# builds it; this target catches a change to an API it imports.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
 # tier1 is the gate every change must pass: build, vet, full tests, the
 # race detector over the concurrent packages, the chaos suite, the
 # solver-service smoke, the multi-RHS coalescing smoke, the inter-daemon
 # cluster chaos run, the differential audit sweep, the timeline export
-# smoke, the distributed-tracing smoke, and the hot-path kernel perf smoke.
-tier1: build vet test race chaos serve-smoke batch-smoke cluster-chaos audit variant-audit timeline trace-smoke perf
+# smoke, the distributed-tracing smoke, the hot-path kernel perf smoke, and
+# the benchmark module's tests.
+tier1: build vet test race chaos serve-smoke batch-smoke cluster-chaos audit variant-audit timeline trace-smoke perf perfbench-test
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

@@ -22,10 +22,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/comm"
-	"repro/internal/engine"
 	"repro/internal/krylov"
-	"repro/internal/partition"
-	"repro/internal/precond"
 	"repro/internal/sparse"
 )
 
@@ -68,18 +65,12 @@ func main() {
 	opt := krylov.Defaults()
 	opt.RelTol, opt.S, opt.MaxIter = *rtol, *s, *maxIter
 
-	solve, err := pickSolver(*method)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	fc := &comm.FaultConfig{
 		Seed: *seed, DropRate: *drop, DupRate: *dup,
 		DelayRate: *delayRate, DelayMax: *delayMax,
 		CorruptRate: *corrupt, Checksum: !*noChecksum,
 		StragglerRank: *straggler, StragglerJitter: *jitter,
 	}
-	pt := partition.RowBlockByNNZ(pr.A, *ranks)
 	f := comm.NewFabric(*ranks, *latency).WithFault(fc)
 	if *timeout > 0 {
 		// timeout 0 keeps the fabric default — block forever, unless drops
@@ -87,57 +78,33 @@ func main() {
 		// a guaranteed deadlock under message loss.
 		f = f.WithRecvTimeout(*timeout, *retries)
 	}
-	engines := comm.NewEngines(f, pr.A, pt, func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-		return precond.NewJacobi(a, lo, hi)
-	})
-	bs := comm.Scatter(pt, pr.B)
 
 	fmt.Printf("%s: N=%d nnz=%d method=%s s=%d rtol=%.0e ranks=%d\n",
 		pr.Name, pr.A.Rows, pr.A.NNZ(), *method, *s, *rtol, *ranks)
 	fmt.Printf("faults: seed=%d drop=%.3g dup=%.3g delay=%.3g/%v corrupt=%.3g checksum=%v straggler=%d/%v timeout=%v×%d\n",
 		*seed, *drop, *dup, *delayRate, *delayMax, *corrupt, !*noChecksum, *straggler, *jitter, *timeout, *retries)
 
-	results := make([]*krylov.Result, *ranks)
 	start := time.Now()
-	errs := comm.RunErr(engines, func(r int, e *comm.Engine) error {
-		res, err := solve(e, bs[r], opt)
-		results[r] = res
-		return err
-	})
+	out, err := bench.Run(bench.Spec{Problem: pr, Method: *method, PC: "jacobi", Opt: opt, Fabric: f})
 	wall := time.Since(start).Round(time.Millisecond)
-
-	failed := false
-	for r, err := range errs {
-		if err != nil {
-			failed = true
-			fmt.Printf("rank %d error: %v\n", r, err)
-		}
+	if out == nil {
+		log.Fatal(err)
 	}
-
-	if res := results[0]; res != nil {
+	if err != nil {
+		fmt.Printf("error: %v\n", err)
+	}
+	if res := out.Res; res != nil {
 		fmt.Printf("%s: converged=%v iterations=%d (outer %d) relres=%.3e wall=%v\n",
 			res.Method, res.Converged, res.Iterations, res.Outer, res.RelRes, wall)
-		if !failed {
-			xs := make([][]float64, *ranks)
-			ok := true
-			for r := range xs {
-				if results[r] == nil {
-					ok = false
-					break
-				}
-				xs[r] = results[r].X
-			}
-			if ok {
-				fmt.Printf("true residual: %.3e\n", trueResidual(pr.A, pr.B, comm.Gather(pt, xs)))
-			}
+		if err == nil {
+			fmt.Printf("true residual: %.3e\n", trueResidual(pr.A, pr.B, res.X))
 		}
 	}
 
 	// Recovery statistics: solver-level events summed across ranks, the
 	// comm layer's own ledger, and the injector's tally.
 	var recov, repl, steps, events int
-	for _, e := range engines {
-		c := e.Counters()
+	for _, c := range out.Counters {
 		recov += c.Recoveries
 		repl += c.ResidualReplacements
 		steps += c.LadderStepdowns
@@ -153,15 +120,6 @@ func main() {
 	} else {
 		fmt.Println("fabric close: clean (no leaked mailbox entries)")
 	}
-}
-
-// pickSolver resolves a method name, adding the resilience ladder to the
-// standard registry.
-func pickSolver(name string) (krylov.Solver, error) {
-	if name == "ladder" {
-		return krylov.SolveLadder, nil
-	}
-	return bench.Solver(name)
 }
 
 // trueResidual recomputes ‖b − A·x‖/‖b‖ from scratch — the ground truth no

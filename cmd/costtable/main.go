@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"repro/internal/bench"
-	"repro/internal/engine"
 	"repro/internal/krylov"
 	"repro/internal/perfmodel"
 	"repro/internal/trace"
@@ -71,21 +70,10 @@ func main() {
 // measured runs a method for maxIter iterations on a sequential engine and
 // returns a copy of its kernel counters.
 func measured(pr bench.Problem, meth string, opt krylov.Options, maxIter int) trace.Counters {
-	solve, err := bench.Solver(meth)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var pc engine.Preconditioner
-	if !bench.Unpreconditioned(meth) {
-		pc, err = bench.MakePC("jacobi", pr)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	e := engine.NewSeq(pr.A, pc)
 	opt.MaxIter = maxIter
-	if _, err := solve(e, pr.B, opt); err != nil {
+	out, err := bench.Run(bench.Spec{Problem: pr, Method: meth, PC: "jacobi", Opt: opt})
+	if err != nil {
 		log.Fatalf("%s: %v", meth, err)
 	}
-	return *e.Counters()
+	return *out.Counters[0]
 }

@@ -22,11 +22,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/comm"
-	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/partition"
-	"repro/internal/precond"
-	"repro/internal/sparse"
 )
 
 func main() {
@@ -41,11 +37,7 @@ func main() {
 	flag.Parse()
 
 	pr := bench.Poisson7(*n)
-	pt := partition.RowBlockByNNZ(pr.A, *ranks)
-	bs := comm.Scatter(pt, pr.B)
-	factory := func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-		return precond.NewJacobi(a, lo, hi)
-	}
+	pr.Op = nil // time the assembled CSR SpMV, not the matrix-free stencil
 
 	latencies := []time.Duration{0, 50 * time.Microsecond, 200 * time.Microsecond, 800 * time.Microsecond}
 	methodList := bench.ParseList(*methods)
@@ -66,37 +58,20 @@ func main() {
 		hidden[hi] = map[string]obs.OverlapStats{}
 		fmt.Printf("%-12s", hop)
 		for _, meth := range methodList {
-			solve, err := bench.Solver(meth)
-			if err != nil {
-				log.Fatal(err)
-			}
 			best := time.Duration(0)
 			for rep := 0; rep < *reps; rep++ {
 				f := comm.NewFabric(*ranks, hop)
-				engines := comm.NewEngines(f, pr.A, pt, factory)
-				tracers := make([]*obs.Tracer, *ranks)
-				for r, e := range engines {
-					tracers[r] = obs.New(r)
-					e.SetTracer(tracers[r])
+				out, err := bench.Run(bench.Spec{Problem: pr, Method: meth, PC: "jacobi",
+					Opt: bench.DefaultOptions(pr), Fabric: f,
+					Tracer: func(r int) *obs.Tracer { return obs.New(r) }})
+				f.Close()
+				if err != nil {
+					log.Fatalf("%s: %v", meth, err)
 				}
-				start := time.Now()
-				comm.Run(engines, func(r int, e *comm.Engine) {
-					opt := bench.DefaultOptions(pr)
-					res, err := solve(e, bs[r], opt)
-					if err != nil {
-						log.Fatalf("%s rank %d: %v", meth, r, err)
-					}
-					if r == 0 {
-						iters[meth] = res.Iterations
-					}
-				})
-				if el := time.Since(start); best == 0 || el < best {
-					best = el
-					sums := make([]obs.Summary, *ranks)
-					for r, tr := range tracers {
-						sums[r] = tr.Summary()
-					}
-					hidden[hi][meth] = obs.MergeSummaries(sums).Overlap
+				iters[meth] = out.Res.Iterations
+				if best == 0 || out.Solve < best {
+					best = out.Solve
+					hidden[hi][meth] = obs.MergeSummaries(out.Sums).Overlap
 				}
 			}
 			fmt.Printf(" %12.1f", float64(best.Microseconds())/1000)

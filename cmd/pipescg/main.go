@@ -25,11 +25,8 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/comm"
-	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/krylov"
-	"repro/internal/partition"
-	"repro/internal/precond"
 	"repro/internal/sim"
 	"repro/internal/sparse"
 )
@@ -76,27 +73,28 @@ func main() {
 		log.Fatalf("unknown norm %q", *norm)
 	}
 
-	solve, err := bench.Solver(*method)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("%s: N=%d nnz=%d method=%s pc=%s s=%d rtol=%.0e norm=%s runtime=%s\n",
 		pr.Name, pr.A.Rows, pr.A.NNZ(), *method, *pc, *s, opt.RelTol, opt.Norm, *runtime)
 
+	spec := bench.Spec{Problem: pr, Method: *method, PC: *pc, Opt: opt}
 	switch *runtime {
-	case "seq":
-		pcInst, err := makePC(*method, *pc, pr)
-		if err != nil {
-			log.Fatal(err)
+	case "seq", "comm":
+		if *runtime == "comm" {
+			spec.Fabric = comm.NewFabric(*ranks, *latency)
+			defer spec.Fabric.Close()
 		}
-		e := engine.NewSeq(pr.Operator(), pcInst)
 		start := time.Now()
-		res, err := solve(e, pr.B, opt)
+		out, err := bench.Run(spec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		report(res)
-		fmt.Printf("wall time: %v\ncounters: %s\n", time.Since(start).Round(time.Millisecond), e.Counters())
+		report(out.Res)
+		if spec.Fabric == nil {
+			fmt.Printf("wall time: %v\ncounters: %s\n", time.Since(start).Round(time.Millisecond), out.Counters[0])
+		} else {
+			fmt.Printf("wall time: %v over %d ranks (hop latency %v)\nrank-0 counters: %s\n",
+				time.Since(start).Round(time.Millisecond), *ranks, *latency, out.Counters[0])
+		}
 
 	case "sim":
 		run, err := bench.RunSim(pr, *method, *pc, opt)
@@ -117,43 +115,6 @@ func main() {
 				nd, b.Total, b.Compute, b.Halo, b.ReduceExposed, b.ReduceHidden)
 		}
 
-	case "comm":
-		if bench.Unpreconditioned(*method) {
-			*pc = "none"
-		}
-		pt := partition.RowBlockByNNZ(pr.A, *ranks)
-		f := comm.NewFabric(*ranks, *latency)
-		var factory comm.PCFactory
-		switch *pc {
-		case "none":
-		case "jacobi":
-			factory = func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-				return precond.NewJacobi(a, lo, hi)
-			}
-		case "sor":
-			// Processor-block SSOR: each rank relaxes its own row block,
-			// exactly PETSc's parallel PCSOR behaviour.
-			factory = func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-				return precond.NewSSOR(a, lo, hi, 1.0, 1)
-			}
-		default:
-			log.Fatalf("runtime comm supports rank-local PCs only (jacobi, sor, none), got %q", *pc)
-		}
-		engines := comm.NewEnginesOp(f, pr.A, pr.Operator(), pt, factory)
-		bs := comm.Scatter(pt, pr.B)
-		results := make([]*krylov.Result, *ranks)
-		start := time.Now()
-		comm.Run(engines, func(r int, e *comm.Engine) {
-			res, err := solve(e, bs[r], opt)
-			if err != nil {
-				log.Fatalf("rank %d: %v", r, err)
-			}
-			results[r] = res
-		})
-		report(results[0])
-		fmt.Printf("wall time: %v over %d ranks (hop latency %v)\nrank-0 counters: %s\n",
-			time.Since(start).Round(time.Millisecond), *ranks, *latency, engines[0].Counters())
-
 	default:
 		log.Fatalf("unknown runtime %q", *runtime)
 	}
@@ -173,13 +134,6 @@ func loadProblem(matrixPath, name string, n, scale int) (bench.Problem, error) {
 		return bench.Problem{}, err
 	}
 	return bench.Problem{Name: matrixPath, A: a, B: grid.OnesRHS(a), RelTol: 1e-5}, nil
-}
-
-func makePC(method, pcName string, pr bench.Problem) (engine.Preconditioner, error) {
-	if bench.Unpreconditioned(method) {
-		return nil, nil
-	}
-	return bench.MakePC(pcName, pr)
 }
 
 func report(res *krylov.Result) {

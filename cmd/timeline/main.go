@@ -36,12 +36,8 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/comm"
-	"repro/internal/engine"
 	"repro/internal/krylov"
 	"repro/internal/obs"
-	"repro/internal/partition"
-	"repro/internal/precond"
-	"repro/internal/sparse"
 )
 
 func main() {
@@ -73,13 +69,8 @@ func main() {
 	}
 
 	pr := bench.Poisson7(*n)
-	solve, err := bench.Solver(*method)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	opt := bench.DefaultOptions(pr)
-	sums, res, err := tracedSolve(pr, *ranks, *hop, solve, opt)
+	sums, res, err := tracedSolve(pr, *ranks, *hop, *method, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,7 +89,7 @@ func main() {
 	ropt.MaxRecoveries = 2
 	ropt.StagnationWindow = 2
 	ropt.StagnationFactor = 0.99
-	rsums, rres, err := tracedSolve(pr, *ranks, *hop, krylov.PIPEPSCG, ropt)
+	rsums, rres, err := tracedSolve(pr, *ranks, *hop, "pipe-pscg", ropt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,40 +114,17 @@ func main() {
 // tracedSolve runs one SPMD solve on a fresh fabric with a tracer per rank
 // and returns the per-rank summaries plus rank 0's result.
 func tracedSolve(pr bench.Problem, ranks int, hop time.Duration,
-	solve krylov.Solver, opt krylov.Options) ([]obs.Summary, *krylov.Result, error) {
-	pt := partition.RowBlockByNNZ(pr.A, ranks)
+	method string, opt krylov.Options) ([]obs.Summary, *krylov.Result, error) {
 	f := comm.NewFabric(ranks, hop)
-	factory := func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-		return precond.NewJacobi(a, lo, hi)
+	out, err := bench.Run(bench.Spec{Problem: pr, Method: method, PC: "jacobi", Opt: opt,
+		Fabric: f, Tracer: func(r int) *obs.Tracer { return obs.New(r) }})
+	if cerr := f.Close(); cerr != nil {
+		return nil, nil, fmt.Errorf("fabric leak: %v", cerr)
 	}
-	engines := comm.NewEngines(f, pr.A, pt, factory)
-	tracers := make([]*obs.Tracer, ranks)
-	for r, e := range engines {
-		tracers[r] = obs.New(r)
-		e.SetTracer(tracers[r])
+	if err != nil {
+		return nil, nil, err
 	}
-	bs := comm.Scatter(pt, pr.B)
-	opt.WaitDeadline = 10 * time.Second
-
-	results := make([]*krylov.Result, ranks)
-	errs := comm.RunErr(engines, func(r int, e *comm.Engine) error {
-		var err error
-		results[r], err = solve(e, bs[r], opt)
-		return err
-	})
-	if err := f.Close(); err != nil {
-		return nil, nil, fmt.Errorf("fabric leak: %v", err)
-	}
-	for r, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("rank %d: %v", r, err)
-		}
-	}
-	sums := make([]obs.Summary, ranks)
-	for r, tr := range tracers {
-		sums[r] = tr.Summary()
-	}
-	return sums, results[0], nil
+	return out.Sums, out.Res, nil
 }
 
 // checkTrace validates an exported file through obs.CheckChromeEvents: every

@@ -10,13 +10,10 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/comm"
-	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/krylov"
-	"repro/internal/partition"
-	"repro/internal/precond"
-	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -30,40 +27,27 @@ func main() {
 	fmt.Printf("pressure Poisson: %s stand-in, N=%d nnz=%d, %d SPMD ranks\n",
 		m.Name, a.Rows, a.NNZ(), ranks)
 
-	pt := partition.RowBlockByNNZ(a, ranks)
 	fabric := comm.NewFabric(ranks, 50*time.Microsecond) // injected hop latency
-	engines := comm.NewEngines(fabric, a, pt,
-		func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-			return precond.NewJacobi(a, lo, hi)
-		})
-	bs := comm.Scatter(pt, b)
-
+	defer fabric.Close()
 	opt := krylov.Defaults()
 	opt.RelTol = 1e-2 // the OpenFOAM default the paper cites
 
-	results := make([]*krylov.Result, ranks)
 	start := time.Now()
-	comm.Run(engines, func(r int, e *comm.Engine) {
-		res, err := krylov.Hybrid(e, bs[r], opt)
-		if err != nil {
-			log.Fatalf("rank %d: %v", r, err)
-		}
-		results[r] = res
-	})
+	out, err := bench.Run(bench.Spec{Problem: bench.Problem{Name: m.Name, A: a, B: b},
+		Method: "hybrid", PC: "jacobi", Opt: opt, Fabric: fabric})
+	if err != nil {
+		log.Fatal(err)
+	}
 	elapsed := time.Since(start)
 
-	res := results[0]
+	res := out.Res
 	fmt.Printf("%s: converged=%v in %d iterations, relres=%.3e\n",
 		res.Method, res.Converged, res.Iterations, res.RelRes)
 	fmt.Printf("wall time %v with real overlapped allreduces (rank-0 counters: %s)\n",
-		elapsed.Round(time.Millisecond), engines[0].Counters())
+		elapsed.Round(time.Millisecond), out.Counters[0])
 
-	// Reassemble the global pressure field and report its range.
-	xs := make([][]float64, ranks)
-	for r := range xs {
-		xs[r] = results[r].X
-	}
-	x := comm.Gather(pt, xs)
+	// The global pressure field, gathered across ranks; report its range.
+	x := res.X
 	lo, hi := x[0], x[0]
 	for _, v := range x {
 		if v < lo {

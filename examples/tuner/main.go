@@ -37,7 +37,7 @@ func main() {
 	fmt.Println("\nsimulator check (modeled time to convergence, seconds):")
 	opt := bench.DefaultOptions(pr)
 	svals := []int{1, 2, 3, 4, 5, 6}
-	runs := map[int]*bench.Run{}
+	runs := map[int]*bench.SimRun{}
 	for _, s := range svals {
 		o := opt
 		o.S = s

@@ -40,10 +40,10 @@ func TestGenerateDeterministic(t *testing.T) {
 	// Every generated config is well-formed: unpreconditioned methods carry
 	// pc=none, one-step methods carry s=1.
 	for _, cfg := range a {
-		if unpreconditioned(cfg.Method) && cfg.PC != "none" {
+		if !traits(cfg.Method).Preconditioned && cfg.PC != "none" {
 			t.Fatalf("%s: unpreconditioned method with pc=%s", cfg, cfg.PC)
 		}
-		if !sStepMethods[cfg.Method] && cfg.S != 1 {
+		if !traits(cfg.Method).SStep && cfg.S != 1 {
 			t.Fatalf("%s: one-step method with s=%d", cfg, cfg.S)
 		}
 	}
@@ -107,10 +107,10 @@ func TestAuditBlockAxis(t *testing.T) {
 
 	for _, method := range []string{"pcg", "scg", "pipe-pscg"} {
 		cfg := Config{Problem: "poisson7", N: 6, Method: method, PC: "jacobi", S: 2, K: 3, Seed: 7}
-		if unpreconditioned(method) {
+		if !traits(method).Preconditioned {
 			cfg.PC = "none"
 		}
-		if !sStepMethods[method] {
+		if !traits(method).SStep {
 			cfg.S = 1
 		}
 		vs, runs := AuditBlock(cfg, DefaultParams())
@@ -189,10 +189,10 @@ func TestAuditBitIdentityMatrix(t *testing.T) {
 	}{{"poisson7", 6}, {"poisson125", 4}} {
 		for _, method := range methodPool {
 			cfg := Config{Problem: problem.name, N: problem.n, Method: method, S: 1, PC: "none"}
-			if sStepMethods[method] {
+			if traits(method).SStep {
 				cfg.S = 3
 			}
-			if !unpreconditioned(method) {
+			if traits(method).Preconditioned {
 				cfg.PC = "jacobi"
 			}
 			t.Run(cfg.Problem+"/"+cfg.Method, func(t *testing.T) {

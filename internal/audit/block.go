@@ -45,7 +45,7 @@ func AuditBlock(cfg Config, ap AuditParams) ([]Violation, int) {
 	if err != nil {
 		return fail("error", "%v", err), 0
 	}
-	solver, err := bench.Solver(cfg.Method)
+	m, err := krylov.Lookup(cfg.Method)
 	if err != nil {
 		return fail("error", "%v", err), 0
 	}
@@ -77,7 +77,7 @@ func AuditBlock(cfg Config, ap AuditParams) ([]Violation, int) {
 		if err != nil {
 			return fail("error", "%v", err), runs
 		}
-		res, serr := solver(e, bs[j], opt)
+		res, serr := m.Solve(e, bs[j], opt)
 		runs++
 		solo[j] = soloRun{res: res, err: serr, c: e}
 	}
@@ -91,7 +91,7 @@ func AuditBlock(cfg Config, ap AuditParams) ([]Violation, int) {
 	for j := range cols {
 		cols[j] = blockcg.Column{B: bs[j], Opt: opt}
 	}
-	out := blockcg.Solve(ge, solver, cols)
+	out := blockcg.Solve(ge, m.Solve, cols)
 	runs++
 
 	var vs []Violation

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/krylov"
 )
 
 // Config is one point of the differential sweep: a problem instance, a
@@ -45,9 +47,11 @@ type Config struct {
 // than a grid edge (they serialize as scale= instead of n=).
 var synthProblems = map[string]bool{"ecology2": true, "thermal2": true, "serena": true}
 
-// sStepMethods are the methods that consume Options.S.
-var sStepMethods = map[string]bool{
-	"scg": true, "pscg": true, "scg-s": true, "pipe-scg": true, "pipe-pscg": true,
+// traits returns a method's registry row (krylov.Methods), the zero row
+// for an unknown name.
+func traits(method string) krylov.Method {
+	m, _ := krylov.Lookup(method)
+	return m
 }
 
 // String renders the config in the canonical repro form:
@@ -226,13 +230,13 @@ func configFromDraw(draw uint64) Config {
 	draw >>= 8
 	c.Method = methodPool[int(draw%uint64(len(methodPool)))]
 	draw >>= 8
-	if sStepMethods[c.Method] {
+	if traits(c.Method).SStep {
 		c.S = 1 + int(draw%4) // s ∈ 1..4: past 3 engages the σ basis rescale
 	} else {
 		c.S = 1
 	}
 	draw >>= 8
-	if unpreconditioned(c.Method) {
+	if !traits(c.Method).Preconditioned {
 		c.PC = "none"
 	} else {
 		c.PC = pcPool[int(draw%uint64(len(pcPool)))]
@@ -273,16 +277,6 @@ func configFromDraw(draw uint64) Config {
 		}
 	}
 	return c
-}
-
-// unpreconditioned mirrors bench.Unpreconditioned for the methods in the
-// sweep (kept local so config generation has no bench dependency).
-func unpreconditioned(method string) bool {
-	switch method {
-	case "scg", "scg-s", "pipe-scg":
-		return true
-	}
-	return false
 }
 
 // minDim returns the smallest legal size for a problem — the shrinker's

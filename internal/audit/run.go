@@ -3,16 +3,12 @@ package audit
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/comm"
-	"repro/internal/engine"
 	"repro/internal/krylov"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/partition"
-	"repro/internal/precond"
 	"repro/internal/sim"
 	"repro/internal/sparse"
 	"repro/internal/trace"
@@ -119,8 +115,9 @@ func buildProblem(cfg Config) (bench.Problem, error) {
 		pr.A = sparse.PermuteSym(pr.A, perm)
 		b := make([]float64, len(pr.B))
 		sparse.PermuteVec(b, pr.B, perm)
+		// No Perm is recorded: the audit judges the reordered system as is,
+		// so iterates stay in its ordering.
 		pr.B = b
-		pr.Perm = perm
 		pr.Op = nil
 	default:
 		return pr, fmt.Errorf("audit: unknown op %q", cfg.Op)
@@ -130,7 +127,9 @@ func buildProblem(cfg Config) (bench.Problem, error) {
 
 // Execute runs one config on one engine spec. The solve is configured with
 // the unpreconditioned residual norm so the monitor's recurrence norm and
-// the drift auditor's true ‖b−A·x‖/‖b‖ measure the same quantity.
+// the drift auditor's true ‖b−A·x‖/‖b‖ measure the same quantity. Seq and
+// comm run through bench.Run, the pipeline every other tool solves with;
+// sim keeps its recording engine.
 func Execute(cfg Config, spec EngineSpec, ap AuditParams) (*Run, error) {
 	pr, err := buildProblem(cfg)
 	if err != nil {
@@ -141,7 +140,7 @@ func Execute(cfg Config, spec EngineSpec, ap AuditParams) (*Run, error) {
 	opt.MaxIter = ap.MaxIter
 	opt.Norm = krylov.NormUnpreconditioned
 	opt.ReplaceEvery = cfg.RR
-	solver, err := bench.Solver(cfg.Method)
+	m, err := krylov.Lookup(cfg.Method)
 	if err != nil {
 		return nil, err
 	}
@@ -163,134 +162,62 @@ func Execute(cfg Config, spec EngineSpec, ap AuditParams) (*Run, error) {
 		defer func() { run.Drift = da.Report() }()
 	}
 
+	rs := bench.Spec{Problem: pr, Method: cfg.Method, PC: effectivePC(cfg), Opt: opt}
+	if ap.Trace {
+		rs.Tracer = func(r int) *obs.Tracer { return obs.New(r) }
+	}
 	switch spec.Kind {
-	case "seq", "sim":
-		pc, err := bench.MakePC(effectivePC(cfg), pr)
+	case "sim":
+		// The sim engine records phase tags at solve time regardless; spans
+		// materialize only at replay (sim.Trace), so there is no per-run
+		// tracer to attach here.
+		pc, err := bench.MakePC(rs.PC, pr)
 		if err != nil {
 			return nil, err
 		}
-		var e engine.Engine
-		if spec.Kind == "seq" {
-			se := engine.NewSeq(pr.Operator(), pc)
-			if ap.Trace {
-				se.Tr = obs.New(0)
-			}
-			e = se
-		} else {
-			// The sim engine records phase tags at solve time regardless;
-			// spans materialize only at replay (sim.Trace), so there is no
-			// per-run tracer to attach here.
-			se := sim.NewEngine(pr.A, pc)
-			se.Op = pr.Op
-			e = se
-		}
-		res, err := solver(e, pr.B, opt)
+		e := sim.NewEngine(pr.A, pc)
+		e.Op = pr.Op
+		res, err := m.Solve(e, pr.B, opt)
 		if err != nil {
 			return nil, err
 		}
 		run.Res, run.X, run.Ledger = res, res.X, *e.Counters()
 		return run, nil
-
+	case "seq":
 	case "comm":
-		ranks := spec.Ranks
-		if ranks < 1 {
-			ranks = 1
-		}
-		pt := partition.RowBlockByNNZ(pr.A, ranks)
-		f := comm.NewFabric(ranks, 0)
-		engines := comm.NewEnginesOp(f, pr.A, pr.Operator(), pt, pcFactory(effectivePC(cfg)))
-		var tracers []*obs.Tracer
-		if ap.Trace {
-			tracers = make([]*obs.Tracer, ranks)
-			for r, e := range engines {
-				tracers[r] = obs.New(r)
-				e.SetTracer(tracers[r])
-			}
-		}
-		bs := comm.Scatter(pt, pr.B)
-		opt.WaitDeadline = 10 * time.Second
-
-		rankOpts := make([]krylov.Options, ranks)
-		for r := range rankOpts {
-			rankOpts[r] = opt
-			if r != 0 {
-				rankOpts[r].Observe = nil
-			}
-		}
-		results := make([]*krylov.Result, ranks)
-		errs := comm.RunErr(engines, func(r int, e *comm.Engine) error {
-			res, err := solver(e, bs[r], rankOpts[r])
-			results[r] = res
-			return err
-		})
-		ledger := *engines[0].Counters()
-		_ = f.Close()
-		for r, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("rank %d: %w", r, err)
-			}
-		}
-		xs := make([][]float64, ranks)
-		for r := range xs {
-			xs[r] = results[r].X
-		}
-		run.Res, run.X, run.Ledger = results[0], comm.Gather(pt, xs), ledger
-
-		// The full observability sink, mirroring solverd's post-solve path:
-		// skew over the rank summaries with fabric transit attribution, the
-		// record folded into a (discarded) flight recorder. All of it reads
-		// finished state, so the iterates above must be unaffected.
-		if ap.Flight && tracers != nil && ranks > 1 {
-			sums := make([]obs.Summary, ranks)
-			for r, tr := range tracers {
-				sums[r] = tr.Summary()
-			}
-			transit := f.TransitStats()
-			transitNS := make([]int64, ranks)
-			for r := range transitNS {
-				transitNS[r] = transit[r].MeanNS()
-			}
-			skew := obs.AnalyzeSkewTransit(sums, transitNS)
-			run.Skew = &skew
-			fr := obs.NewFlightRecorder("audit", spec.String(), 4, 4)
-			fr.RecordJob(obs.JobRecord{
-				Job:     cfg.String(),
-				Outcome: "converged",
-				Ranks:   sums,
-			})
-			_ = fr.Dump()
-		}
-		return run, nil
+		rs.Fabric = comm.NewFabric(max(spec.Ranks, 1), 0)
+		defer rs.Fabric.Close()
+	default:
+		return nil, fmt.Errorf("audit: unknown engine kind %q", spec.Kind)
 	}
-	return nil, fmt.Errorf("audit: unknown engine kind %q", spec.Kind)
+	out, err := bench.Run(rs)
+	if err != nil {
+		return nil, err
+	}
+	run.Res, run.X, run.Ledger = out.Res, out.Res.X, *out.Counters[0]
+
+	// The full observability sink, mirroring solverd's post-solve path: the
+	// skew analysis bench.Run computed over the rank summaries, the record
+	// folded into a (discarded) flight recorder. All of it reads finished
+	// state, so the iterates above must be unaffected.
+	if ap.Flight && out.Skew != nil {
+		run.Skew = out.Skew
+		fr := obs.NewFlightRecorder("audit", spec.String(), 4, 4)
+		fr.RecordJob(obs.JobRecord{
+			Job:     cfg.String(),
+			Outcome: "converged",
+			Ranks:   out.Sums,
+		})
+		_ = fr.Dump()
+	}
+	return run, nil
 }
 
 // effectivePC collapses the preconditioner for methods that ignore it, so a
 // config carrying a stale pc field still runs the solve it describes.
 func effectivePC(cfg Config) string {
-	if unpreconditioned(cfg.Method) {
+	if !traits(cfg.Method).Preconditioned {
 		return "none"
 	}
 	return cfg.PC
-}
-
-// pcFactory maps a preconditioner name to the comm runtime's rank-local
-// factory. Only the rank-local PCs are in the sweep: at P>1, rank-local SSOR
-// is a block-SSOR — a different (valid) operator than the global sweep, one
-// more reason multi-rank runs live under the cross-P policy, not the bit
-// group.
-func pcFactory(name string) comm.PCFactory {
-	switch name {
-	case "", "none":
-		return nil
-	case "jacobi":
-		return func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-			return precond.NewJacobi(a, lo, hi)
-		}
-	case "sor":
-		return func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-			return precond.NewSSOR(a, lo, hi, 1.0, 1)
-		}
-	}
-	return nil
 }

@@ -33,15 +33,22 @@ func TestProblemBuilders(t *testing.T) {
 
 func TestSolverRegistry(t *testing.T) {
 	for _, name := range MethodNames {
-		if _, err := Solver(name); err != nil {
+		if _, err := krylov.Lookup(name); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if _, err := Solver("nope"); err == nil {
+	if _, err := krylov.Lookup("nope"); err == nil {
 		t.Fatal("unknown method must error")
 	}
-	if !Unpreconditioned("scg") || Unpreconditioned("pcg") {
-		t.Fatal("Unpreconditioned classification wrong")
+	scg, _ := krylov.Lookup("scg")
+	pcg, _ := krylov.Lookup("pcg")
+	if scg.Preconditioned || !pcg.Preconditioned {
+		t.Fatal("Preconditioned classification wrong")
+	}
+	// cmd/repro slices MethodNames[:10] for Fig. 1: the presentation order
+	// is part of the contract.
+	if got := strings.Join(MethodNames[:10], ","); got != "pcg,cg-cg,groppcg,pipecg,pipecg3,pipecg-oati,pipe-pr-cg,pipe-m-cg-rr,scg,pscg" {
+		t.Fatalf("MethodNames[:10] = %s", got)
 	}
 }
 

@@ -59,10 +59,7 @@ func BenchmarkBlockSpMV(b *testing.B) {
 // grows for the batching to pay.
 func BenchmarkBlockSolve(b *testing.B) {
 	pr := Poisson125(32)
-	solver, err := Solver("pcg")
-	if err != nil {
-		b.Fatal(err)
-	}
+	solver := krylov.PCG
 	for _, k := range []int{1, 4, 16} {
 		bs := blockRHS(pr, k)
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {

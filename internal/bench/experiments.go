@@ -8,9 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Run is one solver execution on the recording simulator engine: the real
-// numerics ran once; Eng can now be evaluated at any rank count.
-type Run struct {
+// SimRun is one solver execution on the recording simulator engine: the
+// real numerics ran once; Eng can now be evaluated at any rank count.
+type SimRun struct {
 	Method string
 	PC     string
 	Result *krylov.Result
@@ -19,8 +19,8 @@ type Run struct {
 
 // RunSim executes one method on the problem under the named preconditioner
 // and returns the recording.
-func RunSim(pr Problem, method, pcName string, opt krylov.Options) (*Run, error) {
-	solve, err := Solver(method)
+func RunSim(pr Problem, method, pcName string, opt krylov.Options) (*SimRun, error) {
+	m, err := krylov.Lookup(method)
 	if err != nil {
 		return nil, err
 	}
@@ -28,17 +28,17 @@ func RunSim(pr Problem, method, pcName string, opt krylov.Options) (*Run, error)
 	if err != nil {
 		return nil, err
 	}
-	if Unpreconditioned(method) {
+	if !m.Preconditioned {
 		pc = nil
 	}
 	eng := sim.NewEngine(pr.A, pc)
 	eng.Op = pr.Op
 	eng.Decomp = pr.Decomp
-	res, err := solve(eng, pr.B, opt)
+	res, err := m.Solve(eng, pr.B, opt)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s on %s: %w", method, pr.Name, err)
 	}
-	return &Run{Method: method, PC: pcName, Result: res, Eng: eng}, nil
+	return &SimRun{Method: method, PC: pcName, Result: res, Eng: eng}, nil
 }
 
 // DefaultOptions returns the paper's solve options for a problem.

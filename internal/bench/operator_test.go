@@ -15,12 +15,12 @@ import (
 // solveSeq runs one method on the sequential engine over the given operator.
 func solveSeq(t *testing.T, pr Problem, op engine.Operator, method string) *krylov.Result {
 	t.Helper()
-	solve, err := Solver(method)
+	m, err := krylov.Lookup(method)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pc engine.Preconditioner
-	if !Unpreconditioned(method) {
+	if m.Preconditioned {
 		pc, err = MakePC("jacobi", pr)
 		if err != nil {
 			t.Fatal(err)
@@ -28,7 +28,7 @@ func solveSeq(t *testing.T, pr Problem, op engine.Operator, method string) *kryl
 	}
 	opt := DefaultOptions(pr)
 	opt.S = 3
-	res, err := solve(engine.NewSeq(op, pc), pr.B, opt)
+	res, err := m.Solve(engine.NewSeq(op, pc), pr.B, opt)
 	if err != nil {
 		t.Fatalf("%s: %v", method, err)
 	}
@@ -39,12 +39,12 @@ func solveSeq(t *testing.T, pr Problem, op engine.Operator, method string) *kryl
 // operator and returns the assembled iterate.
 func solveComm(t *testing.T, pr Problem, op engine.Operator, method string, ranks int) *krylov.Result {
 	t.Helper()
-	solve, err := Solver(method)
+	m, err := krylov.Lookup(method)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var factory comm.PCFactory
-	if !Unpreconditioned(method) {
+	if m.Preconditioned {
 		factory = func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
 			return precond.NewJacobi(a, lo, hi)
 		}
@@ -57,7 +57,7 @@ func solveComm(t *testing.T, pr Problem, op engine.Operator, method string, rank
 	bs := comm.Scatter(pt, pr.B)
 	results := make([]*krylov.Result, ranks)
 	comm.Run(engines, func(r int, e *comm.Engine) {
-		res, err := solve(e, bs[r], opt)
+		res, err := m.Solve(e, bs[r], opt)
 		if err != nil {
 			t.Errorf("rank %d: %v", r, err)
 			return

@@ -53,6 +53,17 @@ func (p Problem) Operator() engine.Operator {
 	return p.A
 }
 
+// SourceOrder maps an iterate of the (possibly reordered) system back to
+// the source row ordering; x is returned as is when Perm is nil.
+func (p Problem) SourceOrder(x []float64) []float64 {
+	if p.Perm == nil || x == nil {
+		return x
+	}
+	out := make([]float64, len(x))
+	sparse.InversePermuteVec(out, x, p.Perm)
+	return out
+}
+
 // Poisson125 builds the paper's main workload: the Poisson equation on an
 // n×n×n grid with the 125-point stencil and b = A·1. The paper uses n=100
 // (1M unknowns).
@@ -162,53 +173,12 @@ func MakePC(name string, pr Problem) (engine.Preconditioner, error) {
 	return nil, fmt.Errorf("bench: unknown preconditioner %q", name)
 }
 
-// MethodNames lists every implemented solver in presentation order.
-var MethodNames = []string{
-	"pcg", "cg-cg", "groppcg", "pipecg", "pipecg3", "pipecg-oati",
-	"pipe-pr-cg", "pipe-m-cg-rr",
-	"scg", "pscg", "scg-s", "pipe-scg", "pipe-pscg", "hybrid",
-}
-
-// Solver returns the solver function for a method name.
-func Solver(name string) (krylov.Solver, error) {
-	switch name {
-	case "pcg":
-		return krylov.PCG, nil
-	case "cg-cg":
-		return krylov.CGCG, nil
-	case "groppcg":
-		return krylov.GROPPCG, nil
-	case "pipecg":
-		return krylov.PIPECG, nil
-	case "pipecg3":
-		return krylov.PIPECG3, nil
-	case "pipecg-oati":
-		return krylov.PIPECGOATI, nil
-	case "pipe-pr-cg":
-		return krylov.PIPEPRCG, nil
-	case "pipe-m-cg-rr":
-		return krylov.PIPEMCGRR, nil
-	case "scg":
-		return krylov.SCG, nil
-	case "pscg":
-		return krylov.PSCG, nil
-	case "scg-s":
-		return krylov.SCGS, nil
-	case "pipe-scg":
-		return krylov.PIPESCG, nil
-	case "pipe-pscg":
-		return krylov.PIPEPSCG, nil
-	case "hybrid":
-		return krylov.Hybrid, nil
+// MethodNames lists every registered method (krylov.Methods) in
+// presentation order.
+var MethodNames = func() []string {
+	names := make([]string, len(krylov.Methods))
+	for i, m := range krylov.Methods {
+		names[i] = m.Name
 	}
-	return nil, fmt.Errorf("bench: unknown method %q", name)
-}
-
-// Unpreconditioned reports whether the method ignores the preconditioner.
-func Unpreconditioned(name string) bool {
-	switch name {
-	case "scg", "scg-s", "pipe-scg":
-		return true
-	}
-	return false
-}
+	return names
+}()

@@ -43,10 +43,12 @@
 //     (flop charges are measured as deltas on the base ledger), so
 //     monitor checkpoints land at identical ReduceIndex values.
 //
-// Deflation falls out of the design: a converged (or failed) column's
-// goroutine simply returns and deregisters, the rendezvous width shrinks,
-// and subsequent batches are narrower — no locked-column bookkeeping
-// inside the numerics.
+// Deflation falls out of the design: a converged, failed or cancelled
+// column's goroutine simply returns and deregisters, the rendezvous width
+// shrinks, and subsequent batches are narrower — no locked-column
+// bookkeeping inside the numerics. A column is cancelled through its
+// Opt.Context, which its own solver's convergence monitor polls outside any
+// rendezvous, so a cancelled column never leaves a batch half parked.
 //
 // # Caveats
 //
@@ -67,17 +69,10 @@ type Column struct {
 	// B is this column's right-hand side.
 	B []float64
 	// Opt are this column's solver options (tolerance, s, progress hook...).
+	// Opt.Context cancels this column alone: its solver returns the context
+	// error at its next convergence check and the column deflates out of
+	// the gang.
 	Opt krylov.Options
-	// Wrap, when non-nil, wraps the column's engine view before the solver
-	// runs on it — the hook the serving layer uses to install its per-job
-	// cancellation wrapper. The wrapper must forward every call to the
-	// wrapped engine (capabilities included).
-	Wrap func(engine.Engine) engine.Engine
-	// Recover, when non-nil, translates a panic unwinding this column's
-	// solver into an error (e.g. the serving layer's cancellation panic).
-	// Returning a nil error — or a nil Recover — re-panics the value on
-	// Solve's caller goroutine after all columns have settled.
-	Recover func(p any) error
 }
 
 // Result is one column's outcome: the solver result (nil when the column
@@ -110,10 +105,6 @@ func Solve(base engine.Engine, solver krylov.Solver, cols []Column) []Result {
 		go func(i int) {
 			defer func() { done <- i }()
 			ce := g.cols[i]
-			var e engine.Engine = ce
-			if cols[i].Wrap != nil {
-				e = cols[i].Wrap(e)
-			}
 			// Registered before g.done so it also catches a poison panic
 			// unwinding from the deregistration path (deferred calls run
 			// last-in-first-out).
@@ -129,16 +120,10 @@ func Solve(base engine.Engine, solver krylov.Solver, cols []Column) []Result {
 					// the same value — don't clobber a settled result.
 					return
 				}
-				if cols[i].Recover != nil {
-					if err := cols[i].Recover(p); err != nil {
-						res[i].Err = err
-						return
-					}
-				}
 				panics[i] = p
 			}()
 			defer g.done(ce)
-			r, err := solver(e, cols[i].B, cols[i].Opt)
+			r, err := solver(ce, cols[i].B, cols[i].Opt)
 			res[i].Res, res[i].Err = r, err
 		}(i)
 	}

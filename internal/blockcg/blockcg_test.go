@@ -1,6 +1,7 @@
 package blockcg_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -33,12 +34,19 @@ func distinctRHS(pr bench.Problem, k int, seed int64) [][]float64 {
 	return cols
 }
 
-func soloSeq(t *testing.T, pr bench.Problem, method string, b []float64, opt krylov.Options) (*krylov.Result, trace.Counters) {
+// solverOf resolves a registry method.
+func solverOf(t *testing.T, name string) krylov.Solver {
 	t.Helper()
-	solver, err := bench.Solver(method)
+	m, err := krylov.Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m.Solve
+}
+
+func soloSeq(t *testing.T, pr bench.Problem, method string, b []float64, opt krylov.Options) (*krylov.Result, trace.Counters) {
+	t.Helper()
+	solver := solverOf(t, method)
 	pc, err := bench.MakePC("jacobi", pr)
 	if err != nil {
 		t.Fatal(err)
@@ -105,10 +113,7 @@ func TestGangBitIdenticalSeq(t *testing.T) {
 				solos[j], soloCs[j] = soloSeq(t, pr, method, rhs[j], opt)
 			}
 
-			solver, err := bench.Solver(method)
-			if err != nil {
-				t.Fatal(err)
-			}
+			solver := solverOf(t, method)
 			pc, err := bench.MakePC("jacobi", pr)
 			if err != nil {
 				t.Fatal(err)
@@ -142,10 +147,7 @@ func TestGangBitIdenticalComm(t *testing.T) {
 	pr := bench.Poisson7(8)
 	const k = 3
 	method := "pipe-pscg"
-	solver, err := bench.Solver(method)
-	if err != nil {
-		t.Fatal(err)
-	}
+	solver := solverOf(t, method)
 	opt := bench.DefaultOptions(pr)
 	opt.S = 3
 	rhs := distinctRHS(pr, k, 7)
@@ -223,10 +225,7 @@ func TestGangBitIdenticalComm(t *testing.T) {
 func TestGangTracingBitIdentity(t *testing.T) {
 	pr := bench.Poisson125(6)
 	const k = 4
-	solver, err := bench.Solver("pcg")
-	if err != nil {
-		t.Fatal(err)
-	}
+	solver := solverOf(t, "pcg")
 	opt := bench.DefaultOptions(pr)
 	rhs := distinctRHS(pr, k, 3)
 
@@ -270,28 +269,11 @@ func TestGangTracingBitIdentity(t *testing.T) {
 	}
 }
 
-// cancelWrap is a serve-style engine wrapper: it forwards everything and
-// panics a typed value once its column has performed enough SPMVs —
-// modeling a per-job cancellation firing mid-gang.
-type cancelWrap struct {
-	engine.Engine
-	after int
-	n     int
-}
-
-type testCancel struct{}
-
-func (c *cancelWrap) SpMV(dst, src []float64) {
-	c.n++
-	if c.n > c.after {
-		panic(testCancel{})
-	}
-	c.Engine.SpMV(dst, src)
-}
-
-// TestGangColumnCancel: one column is canceled mid-solve via a Wrap panic;
-// its Recover hook translates the panic to an error, and the surviving
-// columns still finish bit-identical to their solo solves.
+// TestGangColumnCancel: one column is canceled mid-solve through its
+// Opt.Context — its own progress hook cancels it at iteration 5, and its
+// monitor observes that at the next check — so it errors with the context
+// error, while the surviving columns still finish bit-identical to their
+// solo solves.
 func TestGangColumnCancel(t *testing.T) {
 	pr := bench.Poisson7(8)
 	const k = 3
@@ -305,30 +287,30 @@ func TestGangColumnCancel(t *testing.T) {
 		solos[j], soloCs[j] = soloSeq(t, pr, method, rhs[j], opt)
 	}
 
-	solver, err := bench.Solver(method)
-	if err != nil {
-		t.Fatal(err)
-	}
+	solver := solverOf(t, method)
 	pc, err := bench.MakePC("jacobi", pr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := engine.NewSeq(pr.Operator(), pc)
-	errCanceled := errors.New("canceled")
 	cols := make([]blockcg.Column, k)
 	for j := range cols {
 		cols[j] = blockcg.Column{B: rhs[j], Opt: opt}
 	}
-	cols[1].Wrap = func(e engine.Engine) engine.Engine { return &cancelWrap{Engine: e, after: 5} }
-	cols[1].Recover = func(p any) error {
-		if _, ok := p.(testCancel); ok {
-			return errCanceled
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cols[1].Opt.Context = ctx
+	cols[1].Opt.Progress = func(hp krylov.HistPoint, _ *trace.Counters) {
+		if hp.Iteration >= 5 {
+			cancel()
 		}
-		return nil
 	}
 	results := blockcg.Solve(base, solver, cols)
-	if !errors.Is(results[1].Err, errCanceled) {
-		t.Fatalf("col 1: err = %v, want canceled", results[1].Err)
+	if !errors.Is(results[1].Err, context.Canceled) {
+		t.Fatalf("col 1: err = %v, want context.Canceled", results[1].Err)
+	}
+	if solos[1].Iterations <= 5 {
+		t.Fatalf("col 1's solo solve ends at iteration %d: the cancellation is not mid-solve", solos[1].Iterations)
 	}
 	for _, j := range []int{0, 2} {
 		compareColumn(t, fmt.Sprintf("survivor col %d", j), results[j], solos[j], soloCs[j])
@@ -340,7 +322,7 @@ func TestGangWidthOne(t *testing.T) {
 	pr := bench.Poisson125(5)
 	opt := bench.DefaultOptions(pr)
 	solo, soloC := soloSeq(t, pr, "pscg", pr.B, opt)
-	solver, _ := bench.Solver("pscg")
+	solver := solverOf(t, "pscg")
 	pc, _ := bench.MakePC("jacobi", pr)
 	base := engine.NewSeq(pr.Operator(), pc)
 	res := blockcg.Solve(base, solver, []blockcg.Column{{B: pr.B, Opt: opt}})
@@ -350,7 +332,7 @@ func TestGangWidthOne(t *testing.T) {
 // TestGangEmpty: zero columns is a no-op.
 func TestGangEmpty(t *testing.T) {
 	pr := bench.Poisson125(4)
-	solver, _ := bench.Solver("pcg")
+	solver := solverOf(t, "pcg")
 	pc, _ := bench.MakePC("jacobi", pr)
 	base := engine.NewSeq(pr.Operator(), pc)
 	if got := blockcg.Solve(base, solver, nil); len(got) != 0 {

@@ -115,6 +115,11 @@ type Fabric struct {
 
 	boxes []*mailbox
 
+	// aborted is closed by Abort: every receive blocked on it returns a
+	// FaultClosed error at once.
+	aborted   chan struct{}
+	abortOnce sync.Once
+
 	mu      sync.Mutex
 	closed  bool
 	timers  map[int]*time.Timer
@@ -176,6 +181,7 @@ func NewFabric(p int, hopLatency time.Duration) *Fabric {
 	f := &Fabric{
 		p: p, hopLatency: hopLatency,
 		boxes:   make([]*mailbox, p),
+		aborted: make(chan struct{}),
 		timers:  map[int]*time.Timer{},
 		status:  make([]rankStatus, p),
 		stats:   make([]FaultStats, p),
@@ -208,6 +214,12 @@ func (f *Fabric) WithRecvTimeout(d time.Duration, retries int) *Fabric {
 	f.syncTracking()
 	return f
 }
+
+// Abort fails every pending and future receive with a FaultClosed error, so
+// the ranks of an SPMD solve that some ranks have left (a cancelled solve)
+// unwind at once instead of waiting out their receive deadlines. Idempotent;
+// the fabric still needs Close.
+func (f *Fabric) Abort() { f.abortOnce.Do(func() { close(f.aborted) }) }
 
 // tracking reports whether the fabric keeps the retransmit store and the
 // consumed-key sets (any imperfection or deadline is configured).
@@ -420,8 +432,17 @@ func (f *Fabric) recv(me, from, kind, seq int) ([]float64, error) {
 		return payload
 	}
 
+	abortErr := func() error {
+		return &FaultError{Kind: FaultClosed, Rank: me,
+			Msg: fmt.Sprintf("fabric aborted while waiting (%s,seq=%d,from=%d)", kindName(kind), seq, from)}
+	}
 	if f.recvTimeout <= 0 {
-		return accept(<-ch), nil
+		select {
+		case wire := <-ch:
+			return accept(wire), nil
+		case <-f.aborted:
+			return nil, abortErr()
+		}
 	}
 
 	f.setStatus(me, rankStatus{waiting: true, from: from, kind: kind, seq: seq})
@@ -433,6 +454,8 @@ func (f *Fabric) recv(me, from, kind, seq int) ([]float64, error) {
 		select {
 		case wire := <-ch:
 			return accept(wire), nil
+		case <-f.aborted:
+			return nil, abortErr()
 		case <-timer.C:
 			f.mu.Lock()
 			f.stats[me].Timeouts++

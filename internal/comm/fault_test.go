@@ -337,3 +337,30 @@ func TestRunErrRecoversFaultPanic(t *testing.T) {
 	}
 	f.Close()
 }
+
+// TestAbortWakesBlockedReceivers: Abort fails a receive that would otherwise
+// block forever (no deadline) and one parked on a long deadline, both with a
+// FaultClosed error.
+func TestAbortWakesBlockedReceivers(t *testing.T) {
+	for _, timeout := range []time.Duration{0, time.Hour} {
+		f := NewFabric(2, 0).WithRecvTimeout(timeout, 1)
+		done := make(chan error, 1)
+		go func() {
+			_, err := f.recv(0, 1, kindBcast, 0)
+			done <- err
+		}()
+		time.Sleep(5 * time.Millisecond)
+		f.Abort()
+		f.Abort() // idempotent
+		select {
+		case err := <-done:
+			var fe *FaultError
+			if !errors.As(err, &fe) || fe.Kind != FaultClosed {
+				t.Fatalf("timeout %v: err = %v, want FaultClosed", timeout, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timeout %v: receive not woken by Abort", timeout)
+		}
+		f.Close()
+	}
+}

@@ -12,7 +12,8 @@ import (
 // Algorithm 1 of the paper. Each iteration performs one SPMV, one PC and
 // three blocking allreduces — the synchronization bottleneck the pipelined
 // variants attack.
-func PCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
+func PCG(e engine.Engine, b []float64, opt Options) (res *Result, err error) {
+	defer catchCancel(opt.Context, &res, &err)
 	n := e.NLocal()
 	ph := phasesOf(e)
 	mon := newMonitor(e, b, opt)
@@ -39,7 +40,7 @@ func PCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 	e.AllreduceSum(gammaBuf)
 	gamma := gammaBuf[0]
 
-	res := &Result{Method: "pcg", X: x}
+	res = &Result{Method: "pcg", X: x}
 	var alpha, gammaPrev float64
 	for i := 0; i < opt.MaxIter; i++ {
 		// Norm check (its own allreduce, as in Alg. 1 line 17 / Table I).
@@ -112,7 +113,8 @@ func normTermPCG(mode NormMode, u, r []float64, gamma float64) float64 {
 // posts a single non-blocking allreduce carrying (γ, δ, ‖·‖²) and overlaps
 // it with one PC and one SPMV, at the cost of extra recurrence VMAs (22·N
 // flops per iteration vs PCG's 12·N — Table I).
-func PIPECG(e engine.Engine, b []float64, opt Options) (*Result, error) {
+func PIPECG(e engine.Engine, b []float64, opt Options) (res *Result, err error) {
+	defer catchCancel(opt.Context, &res, &err)
 	n := e.NLocal()
 	ph := phasesOf(e)
 	mon := newMonitor(e, b, opt)
@@ -138,7 +140,7 @@ func PIPECG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 	e.ApplyPC(u, r)
 	e.SpMV(w, u)
 
-	res := &Result{Method: "pipecg", X: x}
+	res = &Result{Method: "pipecg", X: x}
 	var alpha, gamma, gammaPrev float64
 	buf := make([]float64, 3)
 	for i := 0; i < opt.MaxIter; i++ {

@@ -14,7 +14,8 @@ import (
 // allreduce per iteration by carrying w = A·u and updating the scalars with
 // recurrences. It is the communication-reduced (but not communication-
 // hiding) midpoint between PCG and PIPECG.
-func CGCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
+func CGCG(e engine.Engine, b []float64, opt Options) (res *Result, err error) {
+	defer catchCancel(opt.Context, &res, &err)
 	n := e.NLocal()
 	ph := phasesOf(e)
 	mon := newMonitor(e, b, opt)
@@ -36,7 +37,7 @@ func CGCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 	e.ApplyPC(u, r)
 	e.SpMV(w, u)
 
-	res := &Result{Method: "cg-cg", X: x}
+	res = &Result{Method: "cg-cg", X: x}
 	var alpha, gamma, gammaPrev float64
 	buf := make([]float64, 3)
 	for i := 0; i < opt.MaxIter; i++ {

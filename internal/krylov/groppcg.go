@@ -15,7 +15,8 @@ import (
 // behind the SPMV. It sits between PCG (three exposed reductions) and
 // PIPECG (one reduction hidden behind both kernels), and is included here
 // as an additional baseline beyond the paper's Table I.
-func GROPPCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
+func GROPPCG(e engine.Engine, b []float64, opt Options) (res *Result, err error) {
+	defer catchCancel(opt.Context, &res, &err)
 	n := e.NLocal()
 	ph := phasesOf(e)
 	mon := newMonitor(e, b, opt)
@@ -52,7 +53,7 @@ func GROPPCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 	e.AllreduceSum(gBuf)
 	gamma := gBuf[0]
 
-	res := &Result{Method: "groppcg", X: x}
+	res = &Result{Method: "groppcg", X: x}
 	if stop, conv := mon.check(math.Sqrt(math.Abs(gBuf[1])), 0); stop {
 		res.Converged = conv
 		res.Diverged = mon.diverged

@@ -38,7 +38,8 @@ func PIPECG3(e engine.Engine, b []float64, opt Options) (*Result, error) {
 // the solution until the residual stagnates (s-step recurrences round off
 // near tight tolerances), then PIPECG-OATI restarts from the attained
 // iterate and finishes to the requested tolerance.
-func Hybrid(e engine.Engine, b []float64, opt Options) (*Result, error) {
+func Hybrid(e engine.Engine, b []float64, opt Options) (res *Result, err error) {
+	defer catchCancel(opt.Context, &res, &err)
 	stage1 := opt
 	if stage1.StagnationWindow == 0 {
 		stage1.StagnationWindow = 8

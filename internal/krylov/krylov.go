@@ -34,11 +34,13 @@
 package krylov
 
 import (
+	"context"
 	"math"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/vec"
 )
 
@@ -126,13 +128,13 @@ type Options struct {
 	// error. 0 means wait indefinitely.
 	WaitDeadline time.Duration
 	// Progress, when non-nil, is invoked after every convergence check with
-	// the history point just recorded — the live-streaming hook a serving
-	// layer uses to emit per-iteration events without waiting for Result.
-	// It runs on the solver goroutine and must be cheap and non-blocking;
-	// it observes the solve and must not mutate it. On an SPMD runtime every
-	// rank calls it, so a process-wide consumer should install it on one
-	// rank only.
-	Progress func(HistPoint)
+	// the history point just recorded and the engine's live counter ledger
+	// — the live-streaming hook a serving layer uses to emit per-iteration
+	// events without waiting for Result. It runs on the solver goroutine and
+	// must be cheap and non-blocking; it observes the solve and must not
+	// mutate it (the ledger included). On an SPMD runtime every rank calls
+	// it, so a process-wide consumer should install it on one rank only.
+	Progress func(HistPoint, *trace.Counters)
 	// Observe, when non-nil, is invoked after every convergence check with
 	// the history point just recorded and a read-only view of the rank-local
 	// iterate the checked residual norm corresponds to. It is the
@@ -141,6 +143,15 @@ type Options struct {
 	// back into the engine — it runs between kernels and anything it charges
 	// or reduces would desynchronize the counter ledger across engines.
 	Observe func(hp HistPoint, x []float64)
+	// Context, when non-nil, cancels the solve: the convergence monitor
+	// polls it at every check and, once it is done, the solver returns
+	// (nil, Context.Err()) — the multi-stage solvers (hybrid, ladder) too,
+	// whichever stage observed it. The poll adds no arithmetic, so a solve
+	// that is never cancelled is bit-identical to one without a context. On
+	// an SPMD runtime every rank polls the same context; a rank that passed
+	// the check just before the cancellation fails on its next collective
+	// instead, once the fabric is aborted.
+	Context context.Context
 }
 
 // Defaults returns the options the paper's experiments use: rtol 1e-5, s=3,
@@ -192,7 +203,9 @@ type monitor struct {
 	bestRel  float64
 	diverged bool
 	// progress is Options.Progress: the per-check streaming callback.
-	progress func(HistPoint)
+	progress func(HistPoint, *trace.Counters)
+	// ctx is Options.Context, polled at the top of every check.
+	ctx context.Context
 	// observe is Options.Observe; x is the solver's iterate slice (stable
 	// for the whole solve), handed to observe alongside each history point.
 	observe func(HistPoint, []float64)
@@ -215,7 +228,33 @@ func newMonitor(e engine.Engine, b []float64, opt Options) *monitor {
 		e:    e,
 		rtol: opt.RelTol, atol: opt.AbsTol, bnorm: math.Sqrt(buf[0]),
 		window: opt.StagnationWindow, factor: opt.StagnationFactor,
-		progress: opt.Progress, observe: opt.Observe,
+		progress: opt.Progress, observe: opt.Observe, ctx: opt.Context,
+	}
+}
+
+// canceled unwinds a solve whose Options.Context ended. Kernels have no
+// error returns, so cancellation travels the way the comm fabric's faults
+// do: a typed panic, turned back into an error by catchCancel at the entry
+// of the solver that owns the monitor.
+type canceled struct{ err error }
+
+// catchCancel is deferred by every solver entry point: it converts a
+// cancellation unwind into (nil, context error) and re-raises any other
+// panic (a comm fault keeps unwinding to its rank boundary). A solve that
+// returns an error once ctx is done — an inner stage that observed the
+// cancellation, or a wait that failed because the fabric was aborted for
+// it — reports the cancellation too, without its partial result.
+func catchCancel(ctx context.Context, res **Result, err *error) {
+	if p := recover(); p != nil {
+		c, ok := p.(canceled)
+		if !ok {
+			panic(p)
+		}
+		*res, *err = nil, c.err
+		return
+	}
+	if *err != nil && ctx != nil && ctx.Err() != nil {
+		*res, *err = nil, ctx.Err()
 	}
 }
 
@@ -223,6 +262,11 @@ func newMonitor(e engine.Engine, b []float64, opt Options) *monitor {
 // the solve should stop: converged (true, true), stagnated or diverged
 // (true, false), or keep going (false, false).
 func (m *monitor) check(norm float64, iter int) (stop, converged bool) {
+	if m.ctx != nil {
+		if err := m.ctx.Err(); err != nil {
+			panic(canceled{err})
+		}
+	}
 	rel := norm
 	if m.bnorm > 0 {
 		rel = norm / m.bnorm
@@ -233,7 +277,7 @@ func (m *monitor) check(norm float64, iter int) (stop, converged bool) {
 	}
 	m.hist = append(m.hist, HistPoint{Iteration: iter, RelRes: rel, ReduceIndex: ridx})
 	if m.progress != nil {
-		m.progress(m.hist[len(m.hist)-1])
+		m.progress(m.hist[len(m.hist)-1], m.e.Counters())
 	}
 	if m.observe != nil && m.x != nil {
 		m.observe(m.hist[len(m.hist)-1], m.x)

@@ -78,7 +78,7 @@ func TestConvergenceMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("pc build: %v", err)
 					}
-					if Unpreconditioned(mName) {
+					if m, _ := Lookup(mName); !m.Preconditioned {
 						pcInst = nil
 					}
 					e := engine.NewSeq(a, pcInst)
@@ -106,7 +106,7 @@ func TestConvergenceMatrix(t *testing.T) {
 					}
 					// Unconverged is acceptable only for hard problems, and
 					// only through a guard with a sane best iterate.
-					if pc.easy && !Unpreconditioned(mName) {
+					if m, _ := Lookup(mName); pc.easy && m.Preconditioned {
 						t.Fatalf("should converge: relres %g (stag=%v div=%v broke=%v, %d iters)",
 							res.RelRes, res.Stagnated, res.Diverged, res.BrokeDown, res.Iterations)
 					}
@@ -120,13 +120,4 @@ func TestConvergenceMatrix(t *testing.T) {
 			}
 		}
 	}
-}
-
-// Unpreconditioned mirrors bench.Unpreconditioned for this package's tests.
-func Unpreconditioned(name string) bool {
-	switch name {
-	case "scg", "scg-s", "pipe-scg":
-		return true
-	}
-	return false
 }

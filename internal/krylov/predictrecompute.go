@@ -72,7 +72,8 @@ func replacePolicyOf(opt Options, meurant bool) func(int) bool {
 	return func(k int) bool { return k%every == 0 }
 }
 
-func pipePRCG(e engine.Engine, b []float64, opt Options, meurant bool) (*Result, error) {
+func pipePRCG(e engine.Engine, b []float64, opt Options, meurant bool) (res *Result, err error) {
+	defer catchCancel(opt.Context, &res, &err)
 	n := e.NLocal()
 	ph := phasesOf(e)
 	mon := newMonitor(e, b, opt)
@@ -119,7 +120,7 @@ func pipePRCG(e engine.Engine, b []float64, opt Options, meurant bool) (*Result,
 	mu, del, gam, nu := buf[0], buf[1], buf[2], buf[3]
 	norm := math.Sqrt(math.Abs(buf[4]))
 
-	res := &Result{Method: method, X: x}
+	res = &Result{Method: method, X: x}
 	for i := 0; i < opt.MaxIter; i++ {
 		if stop, conv := mon.check(norm, i); stop {
 			res.Converged = conv

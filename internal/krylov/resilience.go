@@ -53,7 +53,8 @@ func (e *LadderError) Error() string {
 //
 // Stepdown decisions depend only on globally reduced quantities, so on an
 // SPMD runtime every rank walks the ladder identically.
-func SolveLadder(e engine.Engine, b []float64, opt Options) (*Result, error) {
+func SolveLadder(e engine.Engine, b []float64, opt Options) (res *Result, err error) {
+	defer catchCancel(opt.Context, &res, &err)
 	opt.Recover = true
 	var merged *Result
 	lastRung := LadderRungs[0].Name

@@ -357,7 +357,8 @@ func (st *sstepState) swapBlocks() {
 }
 
 // solveSStep is the shared skeleton of the s-step family.
-func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Result, error) {
+func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (res *Result, err error) {
+	defer catchCancel(opt.Context, &res, &err)
 	if opt.S < 1 {
 		return nil, errors.New("krylov: s-step methods need S ≥ 1")
 	}
@@ -370,7 +371,7 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Re
 	}
 	mon := newMonitor(e, b, opt)
 	mon.x = st.x
-	res := &Result{Method: cfg.name, X: st.x}
+	res = &Result{Method: cfg.name, X: st.x}
 	st.estimateSigma(b)
 
 	// Bootstrap: r0 = b - A·x0, u0 = M⁻¹r0, powers 1..s; dots; first

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/blockcg"
 	"repro/internal/engine"
 	"repro/internal/krylov"
@@ -20,11 +19,11 @@ import (
 // what its solo solve would have produced (asserted end to end by
 // TestBatchSmoke and solverbench -rhs).
 //
-// Per-job concerns stay per job: deadlines are enforced by the same
-// cancelEngine wrapper the solo path uses (installed through the gang's
-// per-column Wrap hook), and a column whose deadline fires simply deflates
-// out of the batch — the survivors' batches shrink, their numerics do not
-// change.
+// Per-job concerns stay per job: each column's solver options carry its
+// job's deadline context (krylov.Options.Context, the one the solo path
+// uses), and a column whose deadline fires returns from its solver and
+// simply deflates out of the batch — the survivors' batches shrink, their
+// numerics do not change.
 func (m *Manager) runBatch(batch []*Job) {
 	for _, j := range batch {
 		defer func(j *Job) { m.met.ObserveLatency(time.Since(j.submitted).Seconds()) }(j)
@@ -34,11 +33,7 @@ func (m *Manager) runBatch(batch []*Job) {
 	// wait counts against the budget exactly as on the solo path.
 	ctxs := make([]context.Context, len(batch))
 	for i, j := range batch {
-		timeout := m.cfg.MaxJobRuntime
-		if j.Req.TimeoutMS > 0 {
-			timeout = time.Duration(j.Req.TimeoutMS) * time.Millisecond
-		}
-		ctx, cancel := context.WithDeadline(j.ctx, j.submitted.Add(timeout))
+		ctx, cancel := m.jobContext(j)
 		defer cancel()
 		ctxs[i] = ctx
 	}
@@ -66,11 +61,7 @@ func (m *Manager) runBatch(batch []*Job) {
 	m.met.noteBatch(width)
 
 	for _, j := range jobs {
-		j.mu.Lock()
-		j.state = JobRunning
-		j.runStart = time.Now()
-		j.batchWidth = width
-		j.mu.Unlock()
+		j.start(width)
 		j.emit(Event{Type: "start", Job: j.ID, State: JobRunning,
 			Method: j.Req.Method, BatchWidth: width})
 	}
@@ -92,14 +83,14 @@ func (m *Manager) runBatch(batch []*Job) {
 	defer m.reg.Release(entry)
 	pr := entry.Problem()
 
-	solver, err := solverFor(req.Method)
+	meth, err := krylov.Lookup(req.Method)
 	if err != nil {
 		fail(err)
 		return
 	}
 
 	var pc engine.Preconditioner
-	if !bench.Unpreconditioned(req.Method) {
+	if meth.Preconditioned {
 		pc, err = entry.AcquirePC(req.PC)
 		if err != nil {
 			fail(err)
@@ -113,63 +104,28 @@ func (m *Manager) runBatch(batch []*Job) {
 	// solve span starts here on the wall axis.
 	anchor := time.Now()
 	eng.Tr = obs.New(0, obs.WithCapacity(jobEventCapacity, jobLedgerCapacity))
-	for _, j := range jobs {
-		j.mu.Lock()
-		j.solveStart, j.anchorNS = anchor, anchor.UnixNano()
-		j.mu.Unlock()
-	}
 
 	cols := make([]blockcg.Column, width)
 	for i, j := range jobs {
-		i, j, ctx := i, j, jctx[i]
-		opt := bench.DefaultOptions(pr)
-		opt.S = req.S
-		opt.MaxIter = req.MaxIter
-		if req.RelTol > 0 {
-			opt.RelTol = req.RelTol
-		}
-		// ReplaceEvery is part of the coalesce key, so every member of the
-		// batch requested the same cadence.
-		opt.ReplaceEvery = req.ReplaceEvery
-		// colEng is this column's engine view; the progress hook runs on the
-		// column's own goroutine, so reading its per-column ledger is safe.
-		var colEng engine.Engine
-		opt.Progress = func(hp krylov.HistPoint) {
-			ev := Event{Type: "progress", Job: j.ID,
-				Iteration: hp.Iteration, ReduceIndex: hp.ReduceIndex}
-			ev.RelRes, ev.Diverged = saneRel(hp.RelRes)
-			if colEng != nil {
-				ev.Recoveries = colEng.Counters().RecoveryEvents()
-			}
-			j.emit(ev)
-		}
-		cols[i] = blockcg.Column{
-			B:   rhsFor(pr, j.Req.RHSSeed),
-			Opt: opt,
-			Wrap: func(e engine.Engine) engine.Engine {
-				colEng = e
-				return &cancelEngine{Engine: e, ctx: ctx}
-			},
-			Recover: func(p any) error {
-				if cp, ok := p.(cancelPanic); ok {
-					return cp.err
-				}
-				return nil // not ours: re-panics after the gang settles
-			},
-		}
+		// Every option but the context is part of the coalesce key, so the
+		// columns differ only in their right-hand sides and deadlines.
+		cols[i] = blockcg.Column{B: rhsFor(pr, j.Req.RHSSeed), Opt: j.options(pr, jctx[i])}
 	}
 
-	out := blockcg.Solve(eng, solver, cols)
+	out := blockcg.Solve(eng, meth.Solve, cols)
 
 	sum := eng.Tr.Summary()
 	m.met.AddObs(sum)
 	for i, j := range jobs {
 		res := out[i].Res
-		unpermuteResult(res, pr.Perm)
+		if res != nil {
+			res.X = pr.SourceOrder(res.X)
+		}
 		j.mu.Lock()
 		j.counters = out[i].Counters
 		j.obsSum = sum
 		j.rankSums = []obs.Summary{sum}
+		j.anchorNS = anchor.UnixNano()
 		j.mu.Unlock()
 		m.met.AddCounters(&out[i].Counters)
 		m.classify(j, jctx[i], res, out[i].Err)

@@ -12,11 +12,9 @@ import (
 	"repro/internal/audit"
 	"repro/internal/bench"
 	"repro/internal/comm"
-	"repro/internal/engine"
 	"repro/internal/krylov"
 	"repro/internal/obs"
-	"repro/internal/precond"
-	"repro/internal/sparse"
+	"repro/internal/trace"
 )
 
 // jobEventCapacity and jobLedgerCapacity bound each rank's tracer rings for
@@ -28,69 +26,6 @@ const (
 	jobEventCapacity  = 64
 	jobLedgerCapacity = 256
 )
-
-// cancelPanic unwinds a solver whose job context ended. The engine interface
-// has no error returns on kernels, so cancellation travels the same way the
-// comm fabric's fault errors do: a typed panic recovered at the job (or
-// rank) boundary.
-type cancelPanic struct{ err error }
-
-// cancelEngine wraps an engine so every kernel call observes the job
-// context: SpMV, ApplyPC and both reductions poll ctx and unwind with a
-// cancelPanic once it is done. Cancellation therefore lands within one
-// solver iteration. The wrapper adds no arithmetic — the numerics (and the
-// bit-identity guarantee against the CLI path) are untouched.
-type cancelEngine struct {
-	engine.Engine
-	ctx context.Context
-}
-
-func (e *cancelEngine) poll() {
-	select {
-	case <-e.ctx.Done():
-		panic(cancelPanic{e.ctx.Err()})
-	default:
-	}
-}
-
-func (e *cancelEngine) SpMV(dst, src []float64) { e.poll(); e.Engine.SpMV(dst, src) }
-
-func (e *cancelEngine) ApplyPC(dst, src []float64) { e.poll(); e.Engine.ApplyPC(dst, src) }
-
-func (e *cancelEngine) AllreduceSum(buf []float64) { e.poll(); e.Engine.AllreduceSum(buf) }
-
-func (e *cancelEngine) IallreduceSum(buf []float64) engine.Request {
-	e.poll()
-	return e.Engine.IallreduceSum(buf)
-}
-
-// SpMVFusedDots forwards the optional fused-SPMV capability (interface
-// embedding does not promote it through the wrapper's static type). Without
-// this, engine.SpMVFusedOn would fall back to its unfused emulation — whose
-// dot folds use a different chunk geometry — and every daemon solve would
-// drift bitwise from the CLI path.
-func (e *cancelEngine) SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64) {
-	e.poll()
-	engine.SpMVFusedOn(e.Engine, dst, src, scale, ws, dots)
-}
-
-// BeginPhase/EndPhase forward the optional obs.PhaseTracker capability.
-// Embedding the Engine interface does not promote optional interfaces through
-// the wrapper's static type, so without these the solver's phase spans would
-// silently vanish whenever a job runs under cancellation wrapping — which is
-// every job.
-func (e *cancelEngine) BeginPhase(p obs.Phase) obs.Span {
-	if pt, ok := e.Engine.(obs.PhaseTracker); ok {
-		return pt.BeginPhase(p)
-	}
-	return obs.Span{}
-}
-
-func (e *cancelEngine) EndPhase(sp obs.Span) {
-	if pt, ok := e.Engine.(obs.PhaseTracker); ok {
-		pt.EndPhase(sp)
-	}
-}
 
 // saneRel sanitizes a residual norm for the JSON event boundary:
 // encoding/json refuses NaN and ±Inf, and an encoder error inside the NDJSON
@@ -142,29 +77,52 @@ func rhsFor(pr bench.Problem, seed uint64) []float64 {
 	return b
 }
 
-// solverFor resolves a method name, adding the resilience ladder to the
-// standard registry under "ladder".
-func solverFor(name string) (krylov.Solver, error) {
-	if name == "ladder" {
-		return krylov.SolveLadder, nil
-	}
-	return bench.Solver(name)
-}
-
-// run executes one accepted job end to end: pin the operator, check a
-// preconditioner out of its pool, solve under the job deadline, classify the
-// outcome, and fold the job's counters into the service aggregate.
-func (m *Manager) run(j *Job) {
-	defer func() { m.met.ObserveLatency(time.Since(j.submitted).Seconds()) }()
-
+// jobContext derives a job's solve context. The budget is per job, not per
+// solve: time spent waiting in the queue counts, so an overloaded service
+// sheds deadline-blown work instead of running it late.
+func (m *Manager) jobContext(j *Job) (context.Context, context.CancelFunc) {
 	timeout := m.cfg.MaxJobRuntime
 	if j.Req.TimeoutMS > 0 {
 		timeout = time.Duration(j.Req.TimeoutMS) * time.Millisecond
 	}
-	// The budget is per job, not per solve: time spent waiting in the queue
-	// counts, so an overloaded service sheds deadline-blown work instead of
-	// running it late.
-	ctx, cancelTimeout := context.WithDeadline(j.ctx, j.submitted.Add(timeout))
+	return context.WithDeadline(j.ctx, j.submitted.Add(timeout))
+}
+
+// options are the solver options the job's request asks for. The solver
+// polls ctx at every convergence check, so cancellation lands within one
+// check; per-check progress events carry the recovery ledger alongside the
+// residual, so a stream shows degradation as it happens.
+func (j *Job) options(pr bench.Problem, ctx context.Context) krylov.Options {
+	opt := bench.DefaultOptions(pr)
+	opt.S = j.Req.S
+	opt.MaxIter = j.Req.MaxIter
+	if j.Req.RelTol > 0 {
+		opt.RelTol = j.Req.RelTol
+	}
+	opt.ReplaceEvery = j.Req.ReplaceEvery
+	opt.Context = ctx
+	opt.Progress = func(hp krylov.HistPoint, c *trace.Counters) {
+		ev := Event{Type: "progress", Job: j.ID, Iteration: hp.Iteration,
+			ReduceIndex: hp.ReduceIndex, Recoveries: c.RecoveryEvents()}
+		// The monitor records the history point (and fires this hook) BEFORE
+		// its divergence check, so a NaN/Inf residual reaches this boundary
+		// on every divergent solve. json.Marshal fails on non-finite floats;
+		// sanitize here so the event survives instead of tearing the stream.
+		ev.RelRes, ev.Diverged = saneRel(hp.RelRes)
+		j.emit(ev)
+	}
+	return opt
+}
+
+// run executes one accepted job end to end: pin the operator, check a
+// preconditioner out of its pool (seq) or reuse the cached partition
+// (ranks>1), solve under the job deadline through bench.Run — the pipeline
+// `pipescg` runs, so the iterate is bit-identical to the CLI's — classify the
+// outcome, and fold the job's counters into the service aggregate.
+func (m *Manager) run(j *Job) {
+	defer func() { m.met.ObserveLatency(time.Since(j.submitted).Seconds()) }()
+
+	ctx, cancelTimeout := m.jobContext(j)
 	defer cancelTimeout()
 
 	// A job cancelled while queued never touches the registry.
@@ -172,12 +130,7 @@ func (m *Manager) run(j *Job) {
 		m.finishJob(j, JobCanceled, nil, ctx.Err())
 		return
 	}
-
-	j.mu.Lock()
-	j.state = JobRunning
-	j.runStart = time.Now()
-	j.batchWidth = 1
-	j.mu.Unlock()
+	j.start(1)
 	m.met.noteBatch(1)
 
 	// Method "auto" delegates selection to the stability tuner: the decision
@@ -187,8 +140,9 @@ func (m *Manager) run(j *Job) {
 	// selection before the first progress line.
 	method := j.Req.Method
 	startEv := Event{Type: "start", Job: j.ID, State: JobRunning, Method: method}
+	var dec *tuneDecision
 	if method == MethodAuto {
-		dec := m.tuner.Resolve(j.Req)
+		dec = m.tuner.Resolve(j.Req)
 		j.mu.Lock()
 		j.tune = dec
 		j.mu.Unlock()
@@ -205,274 +159,104 @@ func (m *Manager) run(j *Job) {
 	}
 	defer m.reg.Release(entry)
 	pr := entry.Problem()
+	pr.B = rhsFor(pr, j.Req.RHSSeed)
 
-	solver, err := solverFor(method)
-	if err != nil {
-		m.finishJob(j, JobFailed, nil, err)
-		return
-	}
-
-	opt := bench.DefaultOptions(pr)
-	opt.S = j.Req.S
-	opt.MaxIter = j.Req.MaxIter
-	if j.Req.RelTol > 0 {
-		opt.RelTol = j.Req.RelTol
-	}
-	opt.ReplaceEvery = j.Req.ReplaceEvery
-	if dec := j.tuneDecision(); dec != nil {
-		opt.S = dec.S
-		opt.ReplaceEvery = dec.ReplaceEvery
+	spec := bench.Spec{Problem: pr, Method: method, PC: j.Req.PC,
+		Opt: j.options(pr, ctx),
+		Tracer: func(r int) *obs.Tracer {
+			return obs.New(r, obs.WithCapacity(jobEventCapacity, jobLedgerCapacity))
+		}}
+	if dec != nil {
+		spec.Opt.S = dec.S
+		spec.Opt.ReplaceEvery = dec.ReplaceEvery
 		// Match the audit harness: under the unpreconditioned norm the drift
 		// probe's true ‖b−A·x‖/‖b‖ and the monitor's recurrence residual
 		// estimate the same quantity, so their ratio is a clean drift signal.
-		opt.Norm = krylov.NormUnpreconditioned
+		spec.Opt.Norm = krylov.NormUnpreconditioned
 	}
-	// Per-iteration progress events carry the recovery ledger alongside the
-	// residual, so a stream shows degradation as it happens.
-	var progressEng engine.Engine
-	opt.Progress = func(hp krylov.HistPoint) {
-		ev := Event{Type: "progress", Job: j.ID,
-			Iteration: hp.Iteration, ReduceIndex: hp.ReduceIndex}
-		// The monitor records the history point (and fires this hook) BEFORE
-		// its divergence check, so a NaN/Inf residual reaches this boundary
-		// on every divergent solve. json.Marshal fails on non-finite floats;
-		// sanitize here so the event survives instead of tearing the stream.
-		ev.RelRes, ev.Diverged = saneRel(hp.RelRes)
-		if progressEng != nil {
-			ev.Recoveries = progressEng.Counters().RecoveryEvents()
+	var da *audit.DriftAuditor
+	if ranks := j.Req.Ranks; ranks > 1 {
+		// The goroutine-rank runtime over the entry's cached nnz-balanced
+		// partition and a fresh fabric. The receive deadline (and Run's wait
+		// deadline) keep a rank whose peers unwound from hanging.
+		spec.Part = entry.Partition(ranks)
+		spec.Fabric = comm.NewFabric(ranks, 0).WithRecvTimeout(2*time.Second, 3)
+		if m.cfg.testFabricFault != nil {
+			// Test hook: inject fabric faults (e.g. a straggler rank's send jitter)
+			// into service solves so the skew detector can be validated end to
+			// end against a known-degraded rank.
+			spec.Fabric.WithFault(m.cfg.testFabricFault)
 		}
-		j.emit(ev)
-	}
-
-	if j.Req.Ranks <= 1 {
-		m.runSeq(j, ctx, entry, pr, solver, opt, &progressEng)
 	} else {
-		m.runComm(j, ctx, entry, pr, solver, opt, &progressEng)
-	}
-}
-
-// runSeq executes the job on the sequential reference engine — the default
-// path, whose iterate is bit-identical to `pipescg -runtime seq`.
-func (m *Manager) runSeq(j *Job, ctx context.Context, entry *Entry, pr bench.Problem,
-	solver krylov.Solver, opt krylov.Options, progressEng *engine.Engine) {
-	var pc engine.Preconditioner
-	if !bench.Unpreconditioned(j.effectiveMethod()) {
-		var err error
-		pc, err = entry.AcquirePC(j.Req.PC)
+		// Run drops the preconditioner for an unpreconditioned method.
+		pc, err := entry.AcquirePC(j.Req.PC)
 		if err != nil {
 			m.finishJob(j, JobFailed, nil, err)
 			return
 		}
 		defer entry.ReleasePC(j.Req.PC, pc)
+		spec.Pooled = pc
+		// Auto jobs carry the audit harness's drift probe: every few monitor
+		// checks it recomputes the true residual through the raw CSR kernel —
+		// never the engine, so the job's counter ledger (and its
+		// bit-identity with the CLI path) is untouched. The max
+		// true/recurrence ratio is the tuner's stability signal and lands on
+		// the result event as DriftRatio.
+		if dec != nil {
+			da = audit.NewDriftAuditor(pr.A, pr.B, spec.Opt.S, audit.DefaultParams())
+			spec.Opt.Observe = da.Observe
+		}
 	}
 
-	eng := engine.NewSeq(pr.Operator(), pc)
-	// The tracer's clock zero is its construction instant; the anchor pins
-	// that instant on the wall axis so the stitcher can place rank-relative
-	// phase events in the cross-process trace.
-	anchor := time.Now()
-	eng.Tr = obs.New(0, obs.WithCapacity(jobEventCapacity, jobLedgerCapacity))
-	j.mu.Lock()
-	j.solveStart, j.anchorNS = anchor, anchor.UnixNano()
-	j.mu.Unlock()
-	*progressEng = eng
-	wrapped := &cancelEngine{Engine: eng, ctx: ctx}
-
-	b := rhsFor(pr, j.Req.RHSSeed)
-	// Auto jobs carry the audit harness's drift probe: every few monitor
-	// checks it recomputes the true residual through the raw CSR kernel —
-	// never the engine, so the job's counter ledger (and its bit-identity
-	// with the CLI path) is untouched. The max true/recurrence ratio is the
-	// tuner's stability signal and lands on the result event as DriftRatio.
-	var da *audit.DriftAuditor
-	if j.tuneDecision() != nil {
-		da = audit.NewDriftAuditor(pr.A, b, opt.S, audit.DefaultParams())
-		opt.Observe = da.Observe
+	out, err := bench.Run(spec)
+	if spec.Fabric != nil && spec.Fabric.Close() != nil {
+		// A cancelled SPMD solve legitimately leaves mailbox entries behind;
+		// count it, don't fail the drain.
+		m.met.fabricLeaks.Add(1)
 	}
-
-	res, err := m.solveRecovering(wrapped, b, solver, opt)
-	unpermuteResult(res, pr.Perm)
 	if da != nil {
 		j.mu.Lock()
 		j.driftRatio = da.Report().MaxRatio
 		j.mu.Unlock()
 	}
-	sum := eng.Tr.Summary()
-	j.mu.Lock()
-	j.counters = *eng.Counters()
-	j.obsSum = sum
-	j.rankSums = []obs.Summary{sum}
-	j.mu.Unlock()
-	m.met.AddCounters(eng.Counters())
-	m.met.AddObs(sum)
+	var res *krylov.Result
+	if out != nil {
+		res = out.Res
+		m.record(j, out)
+	}
 	m.classify(j, ctx, res, err)
 }
 
-// runComm executes the job on the in-process goroutine-rank runtime: the
-// entry's cached nnz-balanced partition, a fresh fabric, rank-local
-// preconditioners, and the shared kernel pool underneath. The fabric gets a
-// receive deadline and the solver a wait deadline so a rank unwound by
-// cancellation can never deadlock its peers.
-func (m *Manager) runComm(j *Job, ctx context.Context, entry *Entry, pr bench.Problem,
-	solver krylov.Solver, opt krylov.Options, progressEng *engine.Engine) {
-	var factory comm.PCFactory
-	if !bench.Unpreconditioned(j.effectiveMethod()) {
-		switch j.Req.PC {
-		case "", "none":
-		case "jacobi":
-			factory = func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-				return precond.NewJacobi(a, lo, hi)
-			}
-		case "sor":
-			factory = func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-				return precond.NewSSOR(a, lo, hi, 1.0, 1)
-			}
-		default:
-			m.finishJob(j, JobFailed, nil,
-				fmt.Errorf("serve: ranks>1 supports rank-local PCs only (jacobi, sor, none), got %q", j.Req.PC))
-			return
-		}
-	}
-	ranks := j.Req.Ranks
-	pt := entry.Partition(ranks)
-	f := comm.NewFabric(ranks, 0).WithRecvTimeout(2*time.Second, 3)
-	if m.cfg.testFabricFault != nil {
-		// Test hook: inject fabric faults (e.g. the PR 2 straggler jitter)
-		// into service solves so the skew detector can be validated end to
-		// end against a known-degraded rank.
-		f = f.WithFault(m.cfg.testFabricFault)
-	}
-	engines := comm.NewEnginesOp(f, pr.A, pr.Operator(), pt, factory)
-	anchor := time.Now()
-	tracers := make([]*obs.Tracer, ranks)
-	for r, e := range engines {
-		tracers[r] = obs.New(r, obs.WithCapacity(jobEventCapacity, jobLedgerCapacity))
-		e.SetTracer(tracers[r])
-	}
+// record folds a finished solve's per-rank counters, trace summaries and
+// skew analysis into the job and the service aggregate. The skew analysis is
+// purely observational (it reads finished summaries); past the threshold it
+// is flagged in the flight recorder.
+func (m *Manager) record(j *Job, out *bench.Outcome) {
+	sum := obs.MergeSummaries(out.Sums)
 	j.mu.Lock()
-	j.solveStart, j.anchorNS = anchor, anchor.UnixNano()
-	j.mu.Unlock()
-	bs := comm.Scatter(pt, rhsFor(pr, j.Req.RHSSeed))
-	opt.WaitDeadline = 10 * time.Second
-	*progressEng = engines[0]
-
-	// Only rank 0 streams progress; the checks are collective-consistent, so
-	// one rank's view is the job's view.
-	rankOpts := make([]krylov.Options, ranks)
-	for r := range rankOpts {
-		rankOpts[r] = opt
-		if r != 0 {
-			rankOpts[r].Progress = nil
-		}
-	}
-
-	results := make([]*krylov.Result, ranks)
-	errs := comm.RunErr(engines, func(r int, e *comm.Engine) error {
-		wrapped := &cancelEngine{Engine: e, ctx: ctx}
-		res, err := m.solveRecovering(wrapped, bs[r], solver, rankOpts[r])
-		results[r] = res
-		return err
-	})
-
-	agg := engines[0].Counters()
-	sums := make([]obs.Summary, ranks)
-	for r, tr := range tracers {
-		sums[r] = tr.Summary()
-	}
-	sum := obs.MergeSummaries(sums)
-	// Per-rank skew analysis: purely observational (it reads finished
-	// summaries), exported as solverd_rank_skew and, past the threshold,
-	// flagged in the flight recorder.
-	transit := f.TransitStats()
-	transitNS := make([]int64, len(transit))
-	for r, tr := range transit {
-		transitNS[r] = tr.MeanNS()
-	}
-	skew := obs.AnalyzeSkewTransit(sums, transitNS)
-	j.mu.Lock()
-	j.counters = *agg
+	j.counters = *out.Counters[0]
 	j.obsSum = sum
-	j.rankSums = sums
-	j.skew = &skew
+	j.rankSums = out.Sums
+	j.skew = out.Skew
+	j.anchorNS = out.Anchor.UnixNano()
 	j.mu.Unlock()
-	m.met.noteSkew(skew)
-	if skew.StragglerRank >= 0 && skew.MaxScore >= m.cfg.SkewThreshold {
-		m.flight.RecordEvent(obs.FlightEvent{
-			UnixNS: time.Now().UnixNano(), Kind: "rank_skew", TraceID: j.TraceID(),
-			Attrs: map[string]string{
-				"job":            j.ID,
-				"straggler_rank": fmt.Sprintf("%d", skew.StragglerRank),
-				"score":          fmt.Sprintf("%.3f", skew.MaxScore),
-			},
-		})
-	}
-	// Service-level aggregate folds every rank's counters and spans.
-	for _, e := range engines {
-		m.met.AddCounters(e.Counters())
+	for _, c := range out.Counters {
+		m.met.AddCounters(c)
 	}
 	m.met.AddObs(sum)
-	if err := f.Close(); err != nil {
-		// A cancelled SPMD solve legitimately leaves mailbox entries behind;
-		// count it, don't fail the drain.
-		m.met.fabricLeaks.Add(1)
-	}
-
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
+	if skew := out.Skew; skew != nil {
+		m.met.noteSkew(*skew)
+		if skew.StragglerRank >= 0 && skew.MaxScore >= m.cfg.SkewThreshold {
+			m.flight.RecordEvent(obs.FlightEvent{
+				UnixNS: time.Now().UnixNano(), Kind: "rank_skew", TraceID: j.TraceID(),
+				Attrs: map[string]string{
+					"job":            j.ID,
+					"straggler_rank": fmt.Sprintf("%d", skew.StragglerRank),
+					"score":          fmt.Sprintf("%.3f", skew.MaxScore),
+				},
+			})
 		}
 	}
-	res := results[0]
-	if res != nil && firstErr == nil {
-		// Return the assembled global iterate on the job result.
-		xs := make([][]float64, ranks)
-		for r := range xs {
-			if results[r] == nil {
-				res = nil
-				break
-			}
-			xs[r] = results[r].X
-		}
-		if res != nil {
-			assembled := *results[0]
-			assembled.X = comm.Gather(pt, xs)
-			res = &assembled
-		}
-	}
-	unpermuteResult(res, pr.Perm)
-	m.classify(j, ctx, res, firstErr)
-}
-
-// unpermuteResult maps a solve's iterate back to the operator's source row
-// ordering when the registry reordered the system (RCM on uploads). It runs
-// before classify, so XHash and any returned X are in the ordering the
-// client uploaded.
-func unpermuteResult(res *krylov.Result, perm []int) {
-	if res == nil || res.X == nil || perm == nil {
-		return
-	}
-	x := make([]float64, len(res.X))
-	sparse.InversePermuteVec(x, res.X, perm)
-	res.X = x
-}
-
-// solveRecovering invokes the solver, converting a cancellation unwind back
-// into an error. Other panics propagate (seq path) or are captured by
-// comm.RunErr (comm path).
-func (m *Manager) solveRecovering(e engine.Engine, b []float64, solver krylov.Solver,
-	opt krylov.Options) (res *krylov.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			cp, ok := p.(cancelPanic)
-			if !ok {
-				panic(p)
-			}
-			res, err = nil, cp.err
-		}
-	}()
-	return solver(e, b, opt)
 }
 
 // classify maps a solve outcome onto the job's terminal state and emits the

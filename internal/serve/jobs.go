@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/krylov"
@@ -177,7 +178,6 @@ type Job struct {
 	tctx       obs.TraceContext // this job's span in its trace
 	parentSpan string           // incoming parent span id (hex), "" for daemon-originated traces
 	runStart   time.Time        // worker picked the job up (queue-wait span end)
-	solveStart time.Time        // engine solve began (solve span start)
 	coalesceAt time.Time        // head job's coalesce-window wait start (zero if none)
 	coalesceNS int64            // head job's coalesce-window wait duration
 	anchorNS   int64            // wall Unix ns the solve tracers' clock 0 maps to
@@ -188,6 +188,11 @@ type Job struct {
 	cancel    context.CancelFunc
 	submitted time.Time
 	done      chan struct{}
+	// running is the manager's in-flight gauge. The job adds itself when it
+	// starts and removes itself when it reaches a terminal state, under mu
+	// both times, so a scrape never disagrees with the job states it can
+	// observe.
+	running *atomic.Int64
 }
 
 // TraceID returns the hex trace ID of the job's distributed trace.
@@ -313,11 +318,25 @@ func (j *Job) Subscribe() (<-chan Event, func()) {
 	return ch, cancel
 }
 
+// start moves the job to JobRunning as one of a width-job solve.
+func (j *Job) start(width int) {
+	j.mu.Lock()
+	j.state = JobRunning
+	j.runStart = time.Now()
+	j.batchWidth = width
+	j.running.Add(1)
+	j.mu.Unlock()
+}
+
 // finish moves the job to its terminal state, emits the result event and
-// closes every subscriber.
+// closes every subscriber. The in-flight gauge drops before Done closes, so
+// a client that saw the result never scrapes the job as in flight.
 func (j *Job) finish(state JobState, ev Event) {
 	ev.TraceID = j.TraceID()
 	j.mu.Lock()
+	if j.state == JobRunning {
+		j.running.Add(-1)
+	}
 	j.state = state
 	if len(j.events) >= maxRetainedEvents {
 		copy(j.events, j.events[1:])
@@ -374,7 +393,7 @@ type Manager struct {
 
 	inflight  sync.WaitGroup // queued + running jobs
 	workersWG sync.WaitGroup
-	running   chan struct{} // semaphore-as-gauge: len == busy workers
+	running   atomic.Int64 // jobs in JobRunning (see Job.running)
 
 	drainMu  sync.Mutex
 	draining bool
@@ -387,15 +406,14 @@ func NewManager(cfg Config, reg *Registry, met *Metrics) *Manager {
 		seed = uint64(time.Now().UnixNano())
 	}
 	m := &Manager{
-		cfg:     cfg,
-		reg:     reg,
-		met:     met,
-		tuner:   NewTuner(met),
-		ids:     obs.NewIDGen(seed),
-		flight:  obs.NewFlightRecorder("solverd", cfg.ShardID, cfg.FlightJobs, cfg.FlightEvents),
-		jobs:    map[string]*Job{},
-		byKey:   map[string]string{},
-		running: make(chan struct{}, cfg.Workers),
+		cfg:    cfg,
+		reg:    reg,
+		met:    met,
+		tuner:  NewTuner(met),
+		ids:    obs.NewIDGen(seed),
+		flight: obs.NewFlightRecorder("solverd", cfg.ShardID, cfg.FlightJobs, cfg.FlightEvents),
+		jobs:   map[string]*Job{},
+		byKey:  map[string]string{},
 	}
 	m.qcond = sync.NewCond(&m.qmu)
 	m.workersWG.Add(cfg.Workers)
@@ -413,7 +431,7 @@ func (m *Manager) QueueDepth() int {
 }
 
 // InFlight returns the number of jobs currently executing.
-func (m *Manager) InFlight() int { return len(m.running) }
+func (m *Manager) InFlight() int { return int(m.running.Load()) }
 
 // Workers returns the worker-pool size.
 func (m *Manager) Workers() int { return m.cfg.Workers }
@@ -488,6 +506,7 @@ func (m *Manager) Submit(req SolveRequest) (*Job, error) {
 		cancel:    cancel,
 		submitted: time.Now(),
 		done:      make(chan struct{}),
+		running:   &m.running,
 	}
 	// Join the client's trace (the job becomes a child span) or originate a
 	// fresh one. Assigned before the job is enqueued: a fast worker may
@@ -667,7 +686,6 @@ func (m *Manager) worker() {
 		if batch == nil {
 			return
 		}
-		m.running <- struct{}{}
 		if m.cfg.testHookBeforeRun != nil {
 			for _, j := range batch {
 				m.cfg.testHookBeforeRun(j)
@@ -678,7 +696,6 @@ func (m *Manager) worker() {
 		} else {
 			m.runBatch(batch)
 		}
-		<-m.running
 		for range batch {
 			m.inflight.Done()
 		}
@@ -703,9 +720,9 @@ func (m *Manager) Drain(ctx context.Context) {
 	select {
 	case <-finished:
 	case <-ctx.Done():
-		// Deadline: cancel everything still alive. Cancellation reaches the
-		// solver through the engine wrapper at its next kernel call, so the
-		// jobs unwind promptly; wait for them.
+		// Deadline: cancel everything still alive. The solver polls its
+		// job's context at every convergence check (krylov.Options.Context),
+		// so the jobs unwind promptly; wait for them.
 		for _, j := range m.List() {
 			if st := j.State(); st == JobQueued || st == JobRunning {
 				j.Cancel()

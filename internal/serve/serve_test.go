@@ -9,12 +9,16 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/engine"
+	"repro/internal/krylov"
+	"repro/internal/par"
 )
 
 // newTestServer builds a server with a small config and an httptest front.
@@ -76,8 +80,10 @@ func TestSolveSyncConverges(t *testing.T) {
 
 // TestServeBitIdentical is the acceptance gate: a solve submitted through
 // the daemon produces a bit-identical iterate to the same problem run
-// through the CLI path (engine.NewSeq + the bench solver registry, exactly
-// what cmd/pipescg -runtime seq executes).
+// through the CLI path (what cmd/pipescg -runtime seq executes). The
+// reference is wired by hand — engine.NewSeq plus the registry's solver —
+// and deliberately NOT through bench.Run: the daemon solves through
+// bench.Run, and a reference sharing that code path would prove nothing.
 func TestServeBitIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
 	for _, method := range []string{"pipe-pscg", "pcg", "ladder"} {
@@ -102,14 +108,14 @@ func TestServeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		solver, err := solverFor(method)
+		m, err := krylov.Lookup(method)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opt := bench.DefaultOptions(pr)
 		opt.S = 3
 		opt.MaxIter = 100000
-		res, err := solver(engine.NewSeq(pr.A, pc), pr.B, opt)
+		res, err := m.Solve(engine.NewSeq(pr.A, pc), pr.B, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +176,7 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 		t.Fatalf("job 1: status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	waitFor(t, func() bool { return s.Jobs.InFlight() == 1 })
+	waitFor(t, func() bool { return s.Jobs.QueueDepth() == 0 })
 
 	// Second job: accepted, fills the single queue slot.
 	resp = postJSON(t, ts.URL+"/v1/jobs", small)
@@ -223,59 +229,89 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
+// TestCancelRunningJob cancels a job mid-solve, on the sequential engine and
+// on 4 goroutine ranks. The tolerance is unreachable, so the solve is still
+// running when the cancel lands: the job must end canceled, promptly, and
+// leave no goroutine behind — no rank stuck on a peer that left.
 func TestCancelRunningJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	resp := postJSON(t, ts.URL+"/v1/jobs", SolveRequest{
-		ProblemSpec: ProblemSpec{Problem: "poisson125", N: 16},
-		RelTol:      1e-13,
-	})
-	var sub struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	par.Default() // the kernel pool's workers are not a leak
+	for _, ranks := range []int{1, 4} {
+		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
+			runtime.GC()
+			base := runtime.NumGoroutine()
+			s := New(Config{Workers: 1, QueueDepth: 4})
+			ts := httptest.NewServer(s.Handler())
 
-	// Wait for the first progress event, then cancel mid-solve.
-	er, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(er.Body)
-	sawProgress := false
-	for sc.Scan() {
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatal(err)
-		}
-		if ev.Type == "progress" {
-			sawProgress = true
-			cr := postJSON(t, ts.URL+"/v1/jobs/"+sub.ID+"/cancel", struct{}{})
-			cr.Body.Close()
-			break
-		}
-	}
-	er.Body.Close()
-	if !sawProgress {
-		t.Fatal("no progress event before stream end")
-	}
-	// The job must reach a terminal state promptly: canceled (or, if it
-	// raced convergence in the last iteration, converged — never hung).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := decodeStatus(t, mustGet(t, ts.URL+"/v1/jobs/"+sub.ID))
-		if st.State == JobCanceled {
-			return
-		}
-		if st.State == JobConverged {
-			t.Log("job converged before cancellation landed (acceptable race)")
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in state %s after cancel", st.State)
-		}
-		time.Sleep(10 * time.Millisecond)
+			resp := postJSON(t, ts.URL+"/v1/jobs", SolveRequest{
+				ProblemSpec: ProblemSpec{Problem: "poisson125", N: 16},
+				RelTol:      1e-30, Ranks: ranks,
+			})
+			var sub struct {
+				ID string `json:"id"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+
+			// Wait for the first progress event, then cancel mid-solve.
+			er, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := bufio.NewScanner(er.Body)
+			sawProgress := false
+			for sc.Scan() {
+				var ev Event
+				if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+					t.Fatal(err)
+				}
+				if ev.Type == "progress" {
+					sawProgress = true
+					cr := postJSON(t, ts.URL+"/v1/jobs/"+sub.ID+"/cancel", struct{}{})
+					cr.Body.Close()
+					break
+				}
+			}
+			er.Body.Close()
+			if !sawProgress {
+				t.Fatal("no progress event before stream end")
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				st := decodeStatus(t, mustGet(t, ts.URL+"/v1/jobs/"+sub.ID))
+				if st.State == JobCanceled {
+					// A cancelled solve reports no partial iterate.
+					if st.XHash != "" || st.Iterations != 0 {
+						t.Fatalf("canceled job carries a partial result: %d iterations, x_hash %q", st.Iterations, st.XHash)
+					}
+					break
+				}
+				if st.State != JobRunning || time.Now().After(deadline) {
+					t.Fatalf("job in state %s after cancel (error %q)", st.State, st.Error)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+
+			ts.Close()
+			dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			s.Jobs.Drain(dctx)
+			http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+			deadline = time.Now().Add(5 * time.Second)
+			for {
+				runtime.GC()
+				if runtime.NumGoroutine() <= base {
+					break
+				}
+				if time.Now().After(deadline) {
+					var sb strings.Builder
+					pprof.Lookup("goroutine").WriteTo(&sb, 1)
+					t.Fatalf("goroutine leak: %d > baseline %d\n%s", runtime.NumGoroutine(), base, sb.String())
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+		})
 	}
 }
 
