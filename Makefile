@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-kernels perf chaos serve-smoke cluster-chaos audit variant-audit timeline batch-smoke trace-smoke perfbench-test tier1
+.PHONY: all build fmt test race vet bench bench-kernels perf chaos serve-smoke cluster-chaos audit variant-audit timeline batch-smoke trace-smoke perfbench-test tier1
 
 all: tier1
 
@@ -9,6 +9,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Formatting gate: fails when gofmt would rewrite any file in the tree (the
+# nested perfbench module included), listing the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Race-check the concurrency-bearing packages: the worker pool, the
 # goroutine-rank communication runtime (which shares the pool across ranks),
@@ -94,13 +99,13 @@ batch-smoke:
 perfbench-test:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
-# tier1 is the gate every change must pass: build, vet, full tests, the
-# race detector over the concurrent packages, the chaos suite, the
+# tier1 is the gate every change must pass: build, formatting, vet, full
+# tests, the race detector over the concurrent packages, the chaos suite, the
 # solver-service smoke, the multi-RHS coalescing smoke, the inter-daemon
 # cluster chaos run, the differential audit sweep, the timeline export
 # smoke, the distributed-tracing smoke, the hot-path kernel perf smoke, and
 # the benchmark module's tests.
-tier1: build vet test race chaos serve-smoke batch-smoke cluster-chaos audit variant-audit timeline trace-smoke perf perfbench-test
+tier1: build fmt vet test race chaos serve-smoke batch-smoke cluster-chaos audit variant-audit timeline trace-smoke perf perfbench-test
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

@@ -54,7 +54,7 @@ func AuditBlock(cfg Config, ap AuditParams) ([]Violation, int) {
 	opt.MaxIter = ap.MaxIter
 	opt.Norm = krylov.NormUnpreconditioned
 
-	newEngine := func() (engine.Engine, error) {
+	newEngine := func() (*engine.Seq, error) {
 		pc, err := bench.MakePC(effectivePC(cfg), pr)
 		if err != nil {
 			return nil, err

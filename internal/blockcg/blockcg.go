@@ -13,9 +13,8 @@
 // columns have arrived, the last arriver executes the whole batch against
 // the shared base engine, in ascending column order:
 //
-//   - k SPMVs of the same operator become ONE block SPMV (engine.BlockSpMV:
-//     one read of A, one packed halo round) when the base has the
-//     capability, else per-column applications;
+//   - k SPMVs of the same operator become ONE block SPMV
+//     (engine.BlockEngine.SpMVBlock: one read of A, one packed halo round);
 //   - k same-shaped reductions become ONE allreduce of the concatenated
 //     payloads (vec.Pack → reduce → vec.Unpack), blocking or posted;
 //   - mixed batches (columns at different algorithmic points, e.g. after a
@@ -54,8 +53,9 @@
 //
 // The base engine's methods are only ever called under the gang's mutex
 // (or from the single executing column), so any engine whose calls are
-// single-threaded per rank is safe — engine.Seq and comm.Engine both
-// qualify; sim.Engine's virtual clock is not supported under a gang.
+// single-threaded per rank is safe. The base must be an
+// engine.BlockEngine: engine.Seq and comm.Engine are; sim.Engine is not,
+// so a gang over the simulator's virtual clock does not compile.
 package blockcg
 
 import (
@@ -93,7 +93,7 @@ type Result struct {
 // rank body), with the same column order everywhere; batch composition is a
 // deterministic function of the columns' algorithmic state, so the ranks'
 // collective sequences stay aligned.
-func Solve(base engine.Engine, solver krylov.Solver, cols []Column) []Result {
+func Solve(base engine.BlockEngine, solver krylov.Solver, cols []Column) []Result {
 	res := make([]Result, len(cols))
 	if len(cols) == 0 {
 		return res

@@ -29,9 +29,7 @@ const (
 // mutex, in ascending column order, then wakes everyone. The base engine is
 // therefore only ever driven by one goroutine at a time.
 type gang struct {
-	base engine.Engine
-	blk  engine.BlockSpMV // base's optional block-SPMV capability (nil if absent)
-	pt   obs.PhaseTracker // base's optional phase capability (nil if absent)
+	base engine.BlockEngine
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -47,11 +45,9 @@ type gang struct {
 	poison any
 }
 
-func newGang(base engine.Engine, k int) *gang {
+func newGang(base engine.BlockEngine, k int) *gang {
 	g := &gang{base: base, active: k}
 	g.cond = sync.NewCond(&g.mu)
-	g.blk, _ = base.(engine.BlockSpMV)
-	g.pt, _ = base.(obs.PhaseTracker)
 	g.cols = make([]*colEngine, k)
 	for i := range g.cols {
 		g.cols[i] = &colEngine{g: g, idx: i}
@@ -132,10 +128,8 @@ func (g *gang) executeAllLocked() {
 	if uniform && len(batch) > 1 {
 		switch kind {
 		case opSpMV:
-			if g.blk != nil {
-				g.executeBlockSpMV(batch)
-				return
-			}
+			g.executeBlockSpMV(batch)
+			return
 		case opAllreduce:
 			g.executeBlockAllreduce(batch)
 			return
@@ -153,7 +147,7 @@ func (g *gang) executeAllLocked() {
 	}
 }
 
-// executeBlockSpMV collapses the batch into one engine.BlockSpMV call: one
+// executeBlockSpMV collapses the batch into one SpMVBlock call: one
 // operator read, one packed halo round. The per-column flop charge is the
 // measured base delta split evenly — exact, because the batch is k
 // identical-shape products of integer-valued flop counts.
@@ -164,7 +158,7 @@ func (g *gang) executeBlockSpMV(batch []*colEngine) {
 		dsts[i], srcs[i] = ce.dst, ce.src
 	}
 	before := g.base.Counters().SpMVFlops
-	g.blk.SpMVBlock(dsts, srcs)
+	g.base.SpMVBlock(dsts, srcs)
 	per := (g.base.Counters().SpMVFlops - before) / float64(len(batch))
 	for _, ce := range batch {
 		ce.flopsDelta = per
@@ -181,12 +175,12 @@ func (g *gang) executeBlockAllreduce(batch []*colEngine) {
 		bufs[i] = ce.buf
 		total += len(ce.buf)
 	}
-	sp := g.beginPhase(obs.PhaseBlockGram)
+	sp := g.base.BeginPhase(obs.PhaseBlockGram)
 	concat := make([]float64, total)
 	vec.Pack(concat, bufs)
 	g.base.AllreduceSum(concat)
 	vec.Unpack(bufs, concat)
-	g.endPhase(sp)
+	g.base.EndPhase(sp)
 }
 
 // executeBlockIallreduce posts ONE non-blocking reduction for the whole
@@ -199,11 +193,11 @@ func (g *gang) executeBlockIallreduce(batch []*colEngine) {
 		bufs[i] = ce.buf
 		total += len(ce.buf)
 	}
-	sp := g.beginPhase(obs.PhaseBlockGram)
+	sp := g.base.BeginPhase(obs.PhaseBlockGram)
 	concat := make([]float64, total)
 	vec.Pack(concat, bufs)
 	req := g.base.IallreduceSum(concat)
-	g.endPhase(sp)
+	g.base.EndPhase(sp)
 	sr := &sharedReq{req: req, concat: concat, parts: bufs}
 	for _, ce := range batch {
 		ce.req = sr
@@ -221,21 +215,11 @@ func (g *gang) executeOne(ce *colEngine) {
 		ce.flopsDelta = c.SpMVFlops - before
 	case opFused:
 		before := c.SpMVFlops
-		engine.SpMVFusedOn(g.base, ce.dst, ce.src, ce.scale, ce.ws, ce.dots)
+		g.base.SpMVFusedDots(ce.dst, ce.src, ce.scale, ce.ws, ce.dots)
 		ce.flopsDelta = c.SpMVFlops - before
 	case opPowers:
 		before := c.SpMVFlops
-		if pk, ok := g.base.(engine.PowersKernel); ok {
-			pk.SpMVPowers(ce.pows, ce.src)
-			ce.powersHalos = 1
-		} else {
-			cur := ce.src
-			for j := range ce.pows {
-				g.base.SpMV(ce.pows[j], cur)
-				cur = ce.pows[j]
-			}
-			ce.powersHalos = len(ce.pows)
-		}
+		g.base.SpMVPowers(ce.pows, ce.src)
 		ce.flopsDelta = c.SpMVFlops - before
 	case opPC:
 		before := c.PCFlops
@@ -245,19 +229,6 @@ func (g *gang) executeOne(ce *colEngine) {
 		g.base.AllreduceSum(ce.buf)
 	case opIallreduce:
 		ce.req = g.base.IallreduceSum(ce.buf)
-	}
-}
-
-func (g *gang) beginPhase(p obs.Phase) obs.Span {
-	if g.pt == nil {
-		return obs.Span{}
-	}
-	return g.pt.BeginPhase(p)
-}
-
-func (g *gang) endPhase(sp obs.Span) {
-	if g.pt != nil {
-		g.pt.EndPhase(sp)
 	}
 }
 
@@ -285,23 +256,18 @@ func (r *sharedReq) Wait() {
 	r.done = true
 }
 
-// WaitTimeout forwards the deadline to the base request when it has the
-// capability. A timeout settles the shared request: every column sees the
-// same error, mirroring how k solo solves would each see their own
-// reduction time out.
+// WaitTimeout forwards the deadline to the base request. A timeout settles
+// the shared request: every column sees the same error, mirroring how k
+// solo solves would each see their own reduction time out.
 func (r *sharedReq) WaitTimeout(d time.Duration) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.done {
 		return r.err
 	}
-	if dr, ok := r.req.(engine.DeadlineRequest); ok {
-		if err := dr.WaitTimeout(d); err != nil {
-			r.done, r.err = true, err
-			return err
-		}
-	} else {
-		r.req.Wait()
+	if err := r.req.WaitTimeout(d); err != nil {
+		r.done, r.err = true, err
+		return err
 	}
 	vec.Unpack(r.parts, r.concat)
 	r.done = true
@@ -320,25 +286,19 @@ type colEngine struct {
 
 	// pending op slots, written by the column's goroutine before
 	// rendezvous and read by the executor under the gang mutex.
-	pending     bool
-	kind        opKind
-	dst, src    []float64
-	scale       float64
-	ws          [][]float64
-	dots        []float64
-	buf         []float64
-	pows        [][]float64
-	req         engine.Request
-	flopsDelta  float64
-	powersHalos int
+	pending    bool
+	kind       opKind
+	dst, src   []float64
+	scale      float64
+	ws         [][]float64
+	dots       []float64
+	buf        []float64
+	pows       [][]float64
+	req        engine.Request
+	flopsDelta float64
 }
 
-var (
-	_ engine.Engine       = (*colEngine)(nil)
-	_ engine.FusedSpMV    = (*colEngine)(nil)
-	_ engine.PowersKernel = (*colEngine)(nil)
-	_ obs.PhaseTracker    = (*colEngine)(nil)
-)
+var _ engine.Engine = (*colEngine)(nil)
 
 func (ce *colEngine) NLocal() int  { return ce.g.base.NLocal() }
 func (ce *colEngine) NGlobal() int { return ce.g.base.NGlobal() }
@@ -372,7 +332,7 @@ func (ce *colEngine) SpMVPowers(dst [][]float64, src []float64) {
 	ce.g.rendezvous(ce)
 	ce.pows, ce.src = nil, nil
 	ce.c.SpMV += len(dst)
-	ce.c.HaloExchanges += ce.powersHalos
+	ce.c.HaloExchanges++
 	ce.c.SpMVFlops += ce.flopsDelta
 }
 
@@ -407,5 +367,5 @@ func (ce *colEngine) IallreduceSum(buf []float64) engine.Request {
 // recurrence_lc...) to the base tracer, which is mutex-protected and safe
 // under concurrent column goroutines. Spans never touch numerics, so
 // tracing on or off leaves the gang's results bit-identical.
-func (ce *colEngine) BeginPhase(p obs.Phase) obs.Span { return ce.g.beginPhase(p) }
-func (ce *colEngine) EndPhase(sp obs.Span)            { ce.g.endPhase(sp) }
+func (ce *colEngine) BeginPhase(p obs.Phase) obs.Span { return ce.g.base.BeginPhase(p) }
+func (ce *colEngine) EndPhase(sp obs.Span)            { ce.g.base.EndPhase(sp) }

@@ -258,7 +258,9 @@ func TestRouterJobByID(t *testing.T) {
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("async submit: status %d: %s", w.Code, w.Body.String())
 	}
-	var acc struct{ ID string `json:"id"` }
+	var acc struct {
+		ID string `json:"id"`
+	}
 	json.Unmarshal(w.Body.Bytes(), &acc)
 	owner := w.Header().Get("X-Cluster-Shard")
 	if !strings.HasPrefix(acc.ID, owner+"-job-") {

@@ -69,7 +69,9 @@ func (e *Engine) exchangeHaloBlock(srcs [][]float64) {
 	e.tr.End(halo)
 }
 
-// SpMVBlock implements engine.BlockSpMV: one packed halo round for the
+var _ engine.BlockEngine = (*Engine)(nil)
+
+// SpMVBlock implements engine.BlockEngine: one packed halo round for the
 // whole batch, then the local row block of every column through the
 // operator's block kernel — one read of the operator for all k columns.
 // Per column the result is bit-identical to SpMV (the block kernels
@@ -93,7 +95,7 @@ func (e *Engine) SpMVBlock(dsts, srcs [][]float64) {
 	e.exchangeHaloBlock(srcs)
 
 	sp := e.tr.Begin(obs.PhaseBlockSpMV)
-	engine.ApplyBlock(e.op, dsts, e.block.scratch[:k], e.lo, e.hi)
+	e.op.MulMatRangeInto(dsts, e.block.scratch[:k], e.lo, e.hi)
 	e.tr.End(sp)
 
 	localNNZ := e.a.RowPtr[e.hi] - e.a.RowPtr[e.lo]

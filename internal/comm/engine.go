@@ -17,7 +17,7 @@ import (
 type Engine struct {
 	f    *Fabric
 	rank int
-	a    *sparse.CSR // shared, read-only: partition/halo structure + cost accounting
+	a    *sparse.CSR     // shared, read-only: partition/halo structure + cost accounting
 	op   engine.Operator // shared, read-only: the operator the numerics apply
 	pt   partition.Partition
 	halo partition.Halo
@@ -102,10 +102,10 @@ func (e *Engine) SetTracer(tr *obs.Tracer) { e.tr = tr }
 // Tracer returns the attached tracer (nil when tracing is off).
 func (e *Engine) Tracer() *obs.Tracer { return e.tr }
 
-// BeginPhase implements obs.PhaseTracker.
+// BeginPhase implements engine.Engine.
 func (e *Engine) BeginPhase(p obs.Phase) obs.Span { return e.tr.Begin(p) }
 
-// EndPhase implements obs.PhaseTracker.
+// EndPhase implements engine.Engine.
 func (e *Engine) EndPhase(sp obs.Span) { e.tr.End(sp) }
 
 // NLocal implements engine.Engine.
@@ -170,7 +170,7 @@ func (e *Engine) SpMV(dst, src []float64) {
 	e.countSpMV()
 }
 
-// SpMVFusedDots implements engine.FusedSpMV: the same halo exchange as SpMV,
+// SpMVFusedDots implements engine.Engine: the same halo exchange as SpMV,
 // then the fused local product + scale + rank-local dot partials in one pass
 // over the owned rows. The caller reduces the dot partials and charges the
 // scale/dot payload.
@@ -178,7 +178,7 @@ func (e *Engine) SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64
 	e.exchangeHalo(src)
 
 	sp := e.tr.Begin(obs.PhaseSpMV)
-	engine.FusedApply(e.op, dst, e.scratch, e.lo, e.hi, e.lo, scale, ws, dots)
+	e.op.MulVecFused(dst, e.scratch, e.lo, e.hi, e.lo, scale, ws, dots)
 	e.tr.End(sp)
 	e.countSpMV()
 }

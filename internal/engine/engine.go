@@ -13,6 +13,14 @@
 //     true asynchronous allreduce (real overlap).
 //   - sim.Engine — one rank running the real numerics while a virtual-clock
 //     cost model prices every kernel for a modeled machine with P ranks.
+//
+// Every kernel a solver or a wrapping engine uses — the fused SPMV, the
+// matrix powers kernel, phase spans, deadline waits — is a required method
+// of Engine, Operator or Request rather than an optional interface found by
+// type assertion, so a wrapper that forgets one does not compile instead of
+// silently taking a slower or bit-changing path. The block SPMV is the one
+// addition on top: BlockEngine, the base a blockcg gang runs on, which Seq
+// and comm.Engine implement and sim.Engine does not.
 package engine
 
 import (
@@ -22,19 +30,17 @@ import (
 	"repro/internal/trace"
 )
 
-// Request is a pending non-blocking reduction. Wait blocks until the reduced
-// values are available in the buffer passed to IallreduceSum.
+// Request is a pending non-blocking reduction.
 type Request interface {
+	// Wait blocks until the reduced values are available in the buffer
+	// passed to IallreduceSum.
 	Wait()
-}
-
-// DeadlineRequest is an optional Request capability: WaitTimeout bounds the
-// wait and returns an error (typed by the backend, e.g. *comm.FaultError)
-// when the reduction has not completed within d — the solver-side belt over
-// the fabric's own receive deadlines. After a nil return the buffer holds
-// the global sums, exactly as after Wait.
-type DeadlineRequest interface {
-	Request
+	// WaitTimeout bounds the wait and returns an error (typed by the
+	// backend, e.g. *comm.FaultError) when the reduction has not completed
+	// within d — the solver-side belt over the fabric's own receive
+	// deadlines. After a nil return the buffer holds the global sums,
+	// exactly as after Wait. Backends whose reductions complete at once
+	// return nil.
 	WaitTimeout(d time.Duration) error
 }
 
@@ -52,16 +58,6 @@ type Preconditioner interface {
 	WorkPerApply() (flops, bytes float64, p2pRounds, allreduces int)
 }
 
-// PowersKernel is an optional Engine capability: the matrix powers kernel
-// (Hoemmen), computing dst[j] = A^{j+1}·src for j = 0..len(dst)-1 with a
-// single communication phase instead of one halo exchange per product. The
-// paper's §II discusses why PIPE-sCG does not require it (it hides the
-// allreduce, not the SPMV's neighbor traffic) but can compose with it for
-// unpreconditioned solves.
-type PowersKernel interface {
-	SpMVPowers(dst [][]float64, src []float64)
-}
-
 // Engine is the runtime a solver executes on.
 type Engine interface {
 	// NLocal returns the number of rows this rank owns.
@@ -72,6 +68,22 @@ type Engine interface {
 	// SpMV computes dst = A·src over the local rows, performing whatever
 	// halo communication the backend needs. dst and src must not alias.
 	SpMV(dst, src []float64)
+
+	// SpMVFusedDots computes dst = scale·(A·src) over the local rows plus
+	// the rank-local dot products dots[k] = ws[k]·dst (nil ws[k] means
+	// dst·dst), fused into the SPMV's pass over the rows. ws entries share
+	// dst's local indexing. The caller accounts the scale/dot work via
+	// Charge — uniformly across engines — so backends only count the SPMV
+	// itself.
+	SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64)
+
+	// SpMVPowers is the matrix powers kernel (Hoemmen): dst[j] =
+	// A^{j+1}·src for j = 0..len(dst)-1 with a single communication phase
+	// instead of one halo exchange per product. The paper's §II discusses
+	// why PIPE-sCG does not require it (it hides the allreduce, not the
+	// SPMV's neighbor traffic) but can compose with it for unpreconditioned
+	// solves.
+	SpMVPowers(dst [][]float64, src []float64)
 
 	// ApplyPC computes dst = M⁻¹·src over the local rows.
 	ApplyPC(dst, src []float64)
@@ -92,16 +104,23 @@ type Engine interface {
 
 	// Counters exposes the kernel counters of this rank.
 	Counters() *trace.Counters
+
+	// BeginPhase and EndPhase bracket a solver-level section (dot batches,
+	// Gram assembly, recurrence updates, recovery bookkeeping) as one phase
+	// span. Engines delegate to their attached tracer, where a nil tracer
+	// makes both a nil check; sim.Engine tags its recorded cost events
+	// instead, so the spans materialize later on the virtual clock. The
+	// engine kernels span themselves, so solver-side spans never nest
+	// inside them.
+	BeginPhase(p obs.Phase) obs.Span
+	EndPhase(sp obs.Span)
 }
 
 // TraceRequest wraps a pending reduction so its wait is measured against the
 // tracer's overlap ledger: BeginWait when the solver blocks, EndWait when the
 // reduction delivers, AbortWait when the wait fails (deadline, fabric fault)
 // so a reduction that never completed cannot pollute the hidden-fraction
-// statistics. With a nil tracer the request is returned unwrapped. The
-// wrapper always satisfies DeadlineRequest; when the underlying request does
-// not, WaitTimeout degrades to an unbounded Wait — exactly what waitReduce
-// did for such requests before wrapping.
+// statistics. With a nil tracer the request is returned unwrapped.
 func TraceRequest(req Request, tr *obs.Tracer, h int) Request {
 	if tr == nil {
 		return req
@@ -136,14 +155,10 @@ func (r tracedRequest) WaitTimeout(d time.Duration) error {
 			r.tr.AbortWait(r.h)
 		}
 	}()
-	if dr, isDeadline := r.req.(DeadlineRequest); isDeadline {
-		if err := dr.WaitTimeout(d); err != nil {
-			ok = true // not a panic: AbortWait explicitly, then report
-			r.tr.AbortWait(r.h)
-			return err
-		}
-	} else {
-		r.req.Wait()
+	if err := r.req.WaitTimeout(d); err != nil {
+		ok = true // not a panic: AbortWait explicitly, then report
+		r.tr.AbortWait(r.h)
+		return err
 	}
 	ok = true
 	r.tr.EndWait(r.h)
@@ -174,10 +189,10 @@ func (e *Seq) NLocal() int { rows, _ := e.A.Dims(); return rows }
 // NGlobal implements Engine.
 func (e *Seq) NGlobal() int { return e.NLocal() }
 
-// BeginPhase implements obs.PhaseTracker.
+// BeginPhase implements Engine.
 func (e *Seq) BeginPhase(p obs.Phase) obs.Span { return e.Tr.Begin(p) }
 
-// EndPhase implements obs.PhaseTracker.
+// EndPhase implements Engine.
 func (e *Seq) EndPhase(sp obs.Span) { e.Tr.End(sp) }
 
 // SpMV implements Engine. The product runs on the shared worker pool (see
@@ -192,20 +207,20 @@ func (e *Seq) SpMV(dst, src []float64) {
 	e.C.SpMVFlops += 2 * float64(e.A.NNZ())
 }
 
-// SpMVFusedDots implements FusedSpMV: one traced SPMV span covering the
-// fused product, scale and local dots. Counted as a single SPMV; the caller
+// SpMVFusedDots implements Engine: one traced SPMV span covering the fused
+// product, scale and local dots. Counted as a single SPMV; the caller
 // charges the scale/dot payload.
 func (e *Seq) SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64) {
 	sp := e.Tr.Begin(obs.PhaseSpMV)
 	rows, _ := e.A.Dims()
-	FusedApply(e.A, dst, src, 0, rows, 0, scale, ws, dots)
+	e.A.MulVecFused(dst, src, 0, rows, 0, scale, ws, dots)
 	e.Tr.End(sp)
 	e.C.SpMV++
 	e.C.HaloExchanges++
 	e.C.SpMVFlops += 2 * float64(e.A.NNZ())
 }
 
-// SpMVPowers implements PowersKernel (trivially, with one rank there is no
+// SpMVPowers implements Engine (trivially, with one rank there is no
 // communication to save).
 func (e *Seq) SpMVPowers(dst [][]float64, src []float64) {
 	sp := e.Tr.Begin(obs.PhaseSpMV)
@@ -247,7 +262,8 @@ func (e *Seq) AllreduceSum(buf []float64) {
 
 type seqRequest struct{}
 
-func (seqRequest) Wait() {}
+func (seqRequest) Wait()                           {}
+func (seqRequest) WaitTimeout(time.Duration) error { return nil }
 
 // IallreduceSum implements Engine.
 func (e *Seq) IallreduceSum(buf []float64) Request {

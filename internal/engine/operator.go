@@ -1,8 +1,8 @@
 package engine
 
 import (
+	"repro/internal/grid"
 	"repro/internal/sparse"
-	"repro/internal/vec"
 )
 
 // Operator is the linear operator the engines apply. *sparse.CSR is the
@@ -30,6 +30,23 @@ type Operator interface {
 	MulVecRange(y, x []float64, lo, hi int)
 	// MulVecRangeInto computes y[i-lo] = (A·x)[i] for i in [lo, hi).
 	MulVecRangeInto(y, x []float64, lo, hi int)
+	// MulVecFused is the cache-blocked fused SPMV + local-dot kernel: it
+	// computes y[i-yoff] = scale·(A·x)[i] for rows [lo, hi) and dots[k] =
+	// ws[k]·y over the produced range (nil ws[k] means y·y), dotting each
+	// chunk of y while it is still cache-hot instead of re-reading it in
+	// separate Scale/Dot sweeps. yoff is 0 (global y) or lo (local y).
+	MulVecFused(y, x []float64, lo, hi, yoff int, scale float64, ws [][]float64, dots []float64)
+	// MulMat computes ys[j] = A·xs[j] for every column j with one read of
+	// the operator. The contract is strict bit-identity per column: ys[j]
+	// equals, to the bit and at any worker count, what MulVec(ys[j], xs[j])
+	// would produce. Implementations replicate the scalar kernel's
+	// accumulation order per column over the same nnz-balanced chunk plans;
+	// it is what lets a width-k gang solve equal k independent solves.
+	MulMat(ys, xs [][]float64)
+	// MulMatRangeInto computes ys[j][i-lo] = (A·xs[j])[i] for rows [lo, hi)
+	// — local-length destinations, the distributed row-block shape — under
+	// the same per-column bit-identity contract.
+	MulMatRangeInto(ys, xs [][]float64, lo, hi int)
 	// Diag returns the operator diagonal (zeros where absent).
 	Diag() []float64
 	// DiagRange returns the diagonal of rows [lo, hi), locally indexed.
@@ -40,75 +57,8 @@ type Operator interface {
 	InvalidatePlan()
 }
 
-// FusedOperator is an optional Operator capability: the cache-blocked fused
-// SPMV + local-dot kernel. MulVecFused computes y[i-yoff] = scale·(A·x)[i]
-// for rows [lo, hi) and dots[k] = ws[k]·y over the produced range (nil ws[k]
-// means y·y), dotting each chunk of y while it is still cache-hot instead of
-// re-reading it in separate Scale/Dot sweeps.
-type FusedOperator interface {
-	Operator
-	MulVecFused(y, x []float64, lo, hi, yoff int, scale float64, ws [][]float64, dots []float64)
-}
-
-// FusedSpMV is an optional Engine capability: dst = scale·(A·src) over the
-// local rows plus the rank-local dot products dots[k] = ws[k]·dst (nil ws[k]
-// means dst·dst), fused into the SPMV's pass over the rows. ws entries share
-// dst's local indexing. The caller accounts the scale/dot work via Charge —
-// uniformly across engines — so backends only count the SPMV itself.
-type FusedSpMV interface {
-	SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64)
-}
-
-// FusedApply routes the fused product through the operator's fused kernel
-// when it has one, and otherwise emulates it with the basic kernels:
-// product, element-wise scale, then one vec.Dot per ws entry. The emulation
-// is deterministic but folds its dots over vec's length-uniform chunk
-// geometry rather than the operator's work-balanced plan, so mixing fused
-// and unfused operators for the same logical run changes bits; engines in a
-// run always share one operator, which keeps every rank on one path.
-// yoff must be 0 (global y) or lo (local y), matching the MulVec forms.
-func FusedApply(op Operator, y, x []float64, lo, hi, yoff int, scale float64, ws [][]float64, dots []float64) {
-	if f, ok := op.(FusedOperator); ok {
-		f.MulVecFused(y, x, lo, hi, yoff, scale, ws, dots)
-		return
-	}
-	if yoff == 0 {
-		op.MulVecRange(y, x, lo, hi)
-	} else {
-		op.MulVecRangeInto(y, x, lo, hi)
-	}
-	local := y[lo-yoff : hi-yoff]
-	if scale != 1 {
-		vec.Scale(local, scale)
-	}
-	for k, w := range ws {
-		src := local
-		if w != nil {
-			src = w[lo-yoff : hi-yoff]
-		}
-		dots[k] = vec.Dot(src, local)
-	}
-}
-
-// SpMVFusedOn invokes the engine's fused SPMV capability when present, and
-// otherwise emulates it with the basic Engine kernels (same values via
-// vec.Dot's geometry, two extra sweeps). No work is charged here — the
-// caller charges the scale and dot payload identically on both paths.
-func SpMVFusedOn(e Engine, dst, src []float64, scale float64, ws [][]float64, dots []float64) {
-	if f, ok := e.(FusedSpMV); ok {
-		f.SpMVFusedDots(dst, src, scale, ws, dots)
-		return
-	}
-	e.SpMV(dst, src)
-	if scale != 1 {
-		vec.Scale(dst, scale)
-	}
-	for k, w := range ws {
-		if w == nil {
-			w = dst
-		}
-		dots[k] = vec.Dot(w, dst)
-	}
-}
-
-var _ FusedOperator = (*sparse.CSR)(nil)
+// Both concrete operator families implement the full contract.
+var (
+	_ Operator = (*sparse.CSR)(nil)
+	_ Operator = (*grid.StencilOp)(nil)
+)

@@ -326,7 +326,7 @@ func (s *StencilOp) MulVecRange(y, x []float64, lo, hi int) { s.mulVec(y, x, lo,
 // MulVecRangeInto implements engine.Operator.
 func (s *StencilOp) MulVecRangeInto(y, x []float64, lo, hi int) { s.mulVec(y, x, lo, hi, lo, 1) }
 
-// MulVecFused implements engine.FusedOperator with the same chunk geometry,
+// MulVecFused implements engine.Operator with the same chunk geometry,
 // scale semantics and ascending-order dot fold as the CSR fused kernel, so a
 // fused solve through the stencil stays bit-identical to one through the
 // assembled matrix.

@@ -15,7 +15,6 @@ import (
 func PCG(e engine.Engine, b []float64, opt Options) (res *Result, err error) {
 	defer catchCancel(opt.Context, &res, &err)
 	n := e.NLocal()
-	ph := phasesOf(e)
 	mon := newMonitor(e, b, opt)
 
 	x := zerosLike(n, opt.X0)
@@ -27,16 +26,16 @@ func PCG(e engine.Engine, b []float64, opt Options) (res *Result, err error) {
 
 	// r0 = b - A·x0; u0 = M⁻¹·r0.
 	e.SpMV(r, x)
-	sp := ph.begin(obs.PhaseRecurrenceLC)
+	sp := e.BeginPhase(obs.PhaseRecurrenceLC)
 	vec.Sub(r, b, r)
 	chargeAxpys(e, n, 1)
-	ph.end(sp)
+	e.EndPhase(sp)
 	e.ApplyPC(u, r)
 
-	sp = ph.begin(obs.PhaseLocalDots)
+	sp = e.BeginPhase(obs.PhaseLocalDots)
 	gammaBuf := []float64{vec.Dot(u, r)}
 	chargeDots(e, n, 1)
-	ph.end(sp)
+	e.EndPhase(sp)
 	e.AllreduceSum(gammaBuf)
 	gamma := gammaBuf[0]
 
@@ -44,10 +43,10 @@ func PCG(e engine.Engine, b []float64, opt Options) (res *Result, err error) {
 	var alpha, gammaPrev float64
 	for i := 0; i < opt.MaxIter; i++ {
 		// Norm check (its own allreduce, as in Alg. 1 line 17 / Table I).
-		sp = ph.begin(obs.PhaseLocalDots)
+		sp = e.BeginPhase(obs.PhaseLocalDots)
 		normBuf := []float64{normTermPCG(opt.Norm, u, r, gamma)}
 		chargeDots(e, n, 1)
-		ph.end(sp)
+		e.EndPhase(sp)
 		e.AllreduceSum(normBuf)
 		if stop, conv := mon.check(math.Sqrt(math.Abs(normBuf[0])), i); stop {
 			res.Converged = conv
@@ -59,31 +58,31 @@ func PCG(e engine.Engine, b []float64, opt Options) (res *Result, err error) {
 			beta = gamma / gammaPrev
 		}
 		// p = u + β·p.
-		sp = ph.begin(obs.PhaseRecurrenceLC)
+		sp = e.BeginPhase(obs.PhaseRecurrenceLC)
 		vec.Axpby(p, 1, u, beta)
 		chargeAxpys(e, n, 1)
-		ph.end(sp)
+		e.EndPhase(sp)
 
 		e.SpMV(s, p)
-		sp = ph.begin(obs.PhaseLocalDots)
+		sp = e.BeginPhase(obs.PhaseLocalDots)
 		deltaBuf := []float64{vec.Dot(s, p)}
 		chargeDots(e, n, 1)
-		ph.end(sp)
+		e.EndPhase(sp)
 		e.AllreduceSum(deltaBuf)
 		alpha = gamma / deltaBuf[0]
 
-		sp = ph.begin(obs.PhaseRecurrenceLC)
+		sp = e.BeginPhase(obs.PhaseRecurrenceLC)
 		vec.Axpy(x, alpha, p)
 		vec.Axpy(r, -alpha, s)
 		chargeAxpys(e, n, 2)
-		ph.end(sp)
+		e.EndPhase(sp)
 		e.ApplyPC(u, r)
 
 		gammaPrev = gamma
-		sp = ph.begin(obs.PhaseLocalDots)
+		sp = e.BeginPhase(obs.PhaseLocalDots)
 		gammaBuf[0] = vec.Dot(u, r)
 		chargeDots(e, n, 1)
-		ph.end(sp)
+		e.EndPhase(sp)
 		e.AllreduceSum(gammaBuf)
 		gamma = gammaBuf[0]
 
@@ -116,7 +115,6 @@ func normTermPCG(mode NormMode, u, r []float64, gamma float64) float64 {
 func PIPECG(e engine.Engine, b []float64, opt Options) (res *Result, err error) {
 	defer catchCancel(opt.Context, &res, &err)
 	n := e.NLocal()
-	ph := phasesOf(e)
 	mon := newMonitor(e, b, opt)
 
 	x := zerosLike(n, opt.X0)
@@ -133,10 +131,10 @@ func PIPECG(e engine.Engine, b []float64, opt Options) (res *Result, err error) 
 
 	// r0 = b - A·x0; u0 = M⁻¹r0; w0 = A·u0.
 	e.SpMV(r, x)
-	sp := ph.begin(obs.PhaseRecurrenceLC)
+	sp := e.BeginPhase(obs.PhaseRecurrenceLC)
 	vec.Sub(r, b, r)
 	chargeAxpys(e, n, 1)
-	ph.end(sp)
+	e.EndPhase(sp)
 	e.ApplyPC(u, r)
 	e.SpMV(w, u)
 
@@ -144,12 +142,12 @@ func PIPECG(e engine.Engine, b []float64, opt Options) (res *Result, err error) 
 	var alpha, gamma, gammaPrev float64
 	buf := make([]float64, 3)
 	for i := 0; i < opt.MaxIter; i++ {
-		sp = ph.begin(obs.PhaseLocalDots)
+		sp = e.BeginPhase(obs.PhaseLocalDots)
 		buf[0] = vec.Dot(r, u) // γ
 		buf[1] = vec.Dot(w, u) // δ
 		buf[2] = normTermPCG(opt.Norm, u, r, buf[0])
 		chargeDots(e, n, 3)
-		ph.end(sp)
+		e.EndPhase(sp)
 		req := e.IallreduceSum(buf)
 
 		// Overlapped PC + SPMV.
@@ -178,7 +176,7 @@ func PIPECG(e engine.Engine, b []float64, opt Options) (res *Result, err error) 
 		}
 
 		// Recurrence updates (8 VMAs).
-		sp = ph.begin(obs.PhaseRecurrenceLC)
+		sp = e.BeginPhase(obs.PhaseRecurrenceLC)
 		vec.Axpby(z, 1, nn, beta)
 		vec.Axpby(q, 1, m, beta)
 		vec.Axpby(s, 1, w, beta)
@@ -188,16 +186,16 @@ func PIPECG(e engine.Engine, b []float64, opt Options) (res *Result, err error) 
 		vec.Axpy(u, -alpha, q)
 		vec.Axpy(w, -alpha, z)
 		chargeAxpys(e, n, 8)
-		ph.end(sp)
+		e.EndPhase(sp)
 
 		// Periodic residual replacement: recompute r, u, w from x to
 		// arrest recurrence rounding drift.
 		if opt.ReplaceEvery > 0 && (i+1)%opt.ReplaceEvery == 0 {
 			e.SpMV(r, x)
-			sp = ph.begin(obs.PhaseRecurrenceLC)
+			sp = e.BeginPhase(obs.PhaseRecurrenceLC)
 			vec.Sub(r, b, r)
 			chargeAxpys(e, n, 1)
-			ph.end(sp)
+			e.EndPhase(sp)
 			e.ApplyPC(u, r)
 			e.SpMV(w, u)
 		}

@@ -32,7 +32,6 @@ type sstepConfig struct {
 // sstepState owns the vectors of one s-step solve.
 type sstepState struct {
 	e    engine.Engine
-	ph   phases
 	s, n int
 	cfg  sstepConfig
 
@@ -52,10 +51,9 @@ type sstepState struct {
 	buf []float64
 	sw  *scalarwork.State
 
-	// mpk, when non-nil, computes Krylov power ranges with the engine's
-	// matrix powers kernel (Options.MatrixPowers on an unpreconditioned
-	// method).
-	mpk engine.PowersKernel
+	// mpk computes Krylov power ranges with the engine's matrix powers
+	// kernel (Options.MatrixPowers on an unpreconditioned method).
+	mpk bool
 
 	// sigma scales the monomial Krylov basis: powU[j] holds (M⁻¹A/σ)^j·u,
 	// keeping the Gram matrices' dynamic range bounded so higher s values
@@ -64,7 +62,7 @@ type sstepState struct {
 	sigma float64
 
 	// Fused-dot side channel: computePowers with fuse set folds moment
-	// entries into the SPMV sweep (engine.FusedSpMV); packDots consumes the
+	// entries into the SPMV sweep (Engine.SpMVFusedDots); packDots consumes the
 	// muVal entries flagged by muMask and clears the mask.
 	muVal  []float64
 	muMask []bool
@@ -78,7 +76,7 @@ type sstepState struct {
 
 func newSStepState(e engine.Engine, opt Options, cfg sstepConfig) *sstepState {
 	s, n := opt.S, e.NLocal()
-	st := &sstepState{e: e, ph: phasesOf(e), s: s, n: n, cfg: cfg, sigma: 1}
+	st := &sstepState{e: e, s: s, n: n, cfg: cfg, sigma: 1}
 	st.x = zerosLike(n, opt.X0)
 
 	nPow := s + 1
@@ -146,14 +144,14 @@ func newSStepState(e engine.Engine, opt Options, cfg sstepConfig) *sstepState {
 // feed the next packDots (powers 1..s); the pipelined overlap range
 // s+1..2s computes powers the current payload never dots.
 func (st *sstepState) computePowers(lo, hi int, fuse bool) {
-	if st.mpk != nil && hi > lo {
+	if st.mpk && hi > lo {
 		// Matrix powers kernel: the whole contiguous range in one deep
 		// exchange, then undo the basis scaling per level.
 		dst := make([][]float64, hi-lo+1)
 		for j := lo; j <= hi; j++ {
 			dst[j-lo] = st.powR[j]
 		}
-		st.mpk.SpMVPowers(dst, st.powU[lo-1])
+		st.e.SpMVPowers(dst, st.powU[lo-1])
 		if st.sigma != 1 {
 			scale := 1.0
 			for j := lo; j <= hi; j++ {
@@ -178,7 +176,7 @@ func (st *sstepState) computePowers(lo, hi int, fuse bool) {
 		}
 		if len(ws) > 0 || scale != 1 {
 			dots := st.fdots[:len(ws)]
-			engine.SpMVFusedOn(st.e, st.powR[j], st.powU[j-1], scale, ws, dots)
+			st.e.SpMVFusedDots(st.powR[j], st.powU[j-1], scale, ws, dots)
 			if scale != 1 {
 				// The scale's flops; its memory sweep is absorbed by the SPMV.
 				st.e.Charge(float64(st.n), 0)
@@ -223,10 +221,10 @@ func (st *sstepState) estimateSigma(b []float64) {
 		} else {
 			copy(w, t)
 		}
-		sp := st.ph.begin(obs.PhaseLocalDots)
+		sp := st.e.BeginPhase(obs.PhaseLocalDots)
 		buf := []float64{vec.Dot(v, w), vec.Dot(v, v), vec.Dot(w, w)}
 		chargeDots(e, n, 3)
-		st.ph.end(sp)
+		st.e.EndPhase(sp)
 		e.AllreduceSum(buf)
 		// A poisoned reduction (e.g. an injected bit-flip surviving into the
 		// setup allreduce) can land NaN/Inf in ANY of the three moments, or
@@ -239,12 +237,12 @@ func (st *sstepState) estimateSigma(b []float64) {
 		}
 		lambda = math.Abs(buf[0]) / buf[1]
 		scale := 1 / math.Sqrt(buf[2])
-		sp = st.ph.begin(obs.PhaseRecurrenceLC)
+		sp = st.e.BeginPhase(obs.PhaseRecurrenceLC)
 		for i := range v {
 			v[i] = w[i] * scale
 		}
 		chargeAxpys(e, n, 1)
-		st.ph.end(sp)
+		st.e.EndPhase(sp)
 	}
 	// A modest overestimate is harmless (it only shrinks the basis).
 	st.sigma = 1.25 * lambda
@@ -262,8 +260,8 @@ func (st *sstepState) estimateSigma(b []float64) {
 // block instead of once per entry. Moment entries already produced inside a
 // fused SPMV (muMask) are consumed, not recomputed.
 func (st *sstepState) packDots() {
-	sp := st.ph.begin(obs.PhaseGram)
-	defer st.ph.end(sp)
+	sp := st.e.BeginPhase(obs.PhaseGram)
+	defer st.e.EndPhase(sp)
 	s, n := st.s, st.n
 	mu := st.pay.Mu(st.buf)
 	ex := st.pay.Extra(st.buf)
@@ -319,8 +317,8 @@ func (st *sstepState) norm2(mode NormMode) float64 {
 // buildDirections forms Q = K + P·B and AQm[k] = (M⁻¹A)^{k+1}K + APm[k]·B
 // with the fused init+LC kernel (one pass per column).
 func (st *sstepState) buildDirections(b []float64) {
-	sp := st.ph.begin(obs.PhaseRecurrenceLC)
-	defer st.ph.end(sp)
+	sp := st.e.BeginPhase(obs.PhaseRecurrenceLC)
+	defer st.e.EndPhase(sp)
 	s := st.s
 	vec.InitAddScaledBlock(st.qU, st.powU[:s], st.pU, b)
 	if st.cfg.precond {
@@ -364,11 +362,7 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (res
 	}
 	s := opt.S
 	st := newSStepState(e, opt, cfg)
-	if opt.MatrixPowers && !cfg.precond {
-		if pk, ok := e.(engine.PowersKernel); ok {
-			st.mpk = pk
-		}
-	}
+	st.mpk = opt.MatrixPowers && !cfg.precond
 	mon := newMonitor(e, b, opt)
 	mon.x = st.x
 	res = &Result{Method: cfg.name, X: st.x}
@@ -379,10 +373,10 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (res
 	// The same sequence re-seeds the solve after a basis breakdown.
 	bootstrap := func() engine.Request {
 		e.SpMV(st.powR[0], st.x)
-		sp := st.ph.begin(obs.PhaseRecurrenceLC)
+		sp := st.e.BeginPhase(obs.PhaseRecurrenceLC)
 		vec.Sub(st.powR[0], b, st.powR[0])
 		chargeAxpys(e, st.n, 1)
-		st.ph.end(sp)
+		st.e.EndPhase(sp)
 		if cfg.precond {
 			e.ApplyPC(st.powU[0], st.powR[0])
 		}
@@ -410,7 +404,7 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (res
 	// recovery). It recomputes the true residual via bootstrap, which is a
 	// residual replacement by construction.
 	reseed := func() {
-		sp := st.ph.begin(obs.PhaseRecovery)
+		sp := st.e.BeginPhase(obs.PhaseRecovery)
 		st.sw.Reset()
 		st.pU.Zero()
 		st.pR.Zero()
@@ -418,7 +412,7 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (res
 			st.apU[k].Zero()
 			st.apR[k].Zero()
 		}
-		st.ph.end(sp)
+		st.e.EndPhase(sp)
 		req = bootstrap()
 	}
 
@@ -464,13 +458,13 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (res
 				// basis and re-arm the guards.
 				recoveries++
 				lastRecoveryRel = bestRel
-				sp := st.ph.begin(obs.PhaseRecovery)
+				sp := st.e.BeginPhase(obs.PhaseRecovery)
 				c := e.Counters()
 				c.Recoveries++
 				c.ResidualReplacements++
 				mon.rearm(bestRel)
 				copy(st.x, bestX)
-				st.ph.end(sp)
+				st.e.EndPhase(sp)
 				reseed()
 				continue
 			}
@@ -526,10 +520,10 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (res
 		st.buildDirections(coeffs.B)
 
 		// x += Q·(α/σ).
-		sp := st.ph.begin(obs.PhaseRecurrenceLC)
+		sp := st.e.BeginPhase(obs.PhaseRecurrenceLC)
 		vec.AccumulateColumns(st.x, st.qU, xAlpha)
 		chargeAxpys(e, st.n, s)
-		st.ph.end(sp)
+		st.e.EndPhase(sp)
 
 		// Advance the residual powers. Periodic residual replacement
 		// forces the classical recompute path for this outer iteration.
@@ -550,10 +544,10 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (res
 			// rebuild powers 1..s with SPMVs (+PCs when preconditioned).
 			tmp := st.powR[0]
 			e.SpMV(tmp, st.x)
-			sp = st.ph.begin(obs.PhaseRecurrenceLC)
+			sp = st.e.BeginPhase(obs.PhaseRecurrenceLC)
 			vec.Sub(st.powR[0], b, tmp)
 			chargeAxpys(e, st.n, 1)
-			st.ph.end(sp)
+			st.e.EndPhase(sp)
 			if cfg.precond {
 				e.ApplyPC(st.powU[0], st.powR[0])
 			}
@@ -563,7 +557,7 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (res
 			// every maintained image block (j = 0 for Alg. 4; j = 0..s for
 			// the pipelined Alg. 5/6). σ·α_true is exactly the solved
 			// coeffs.Alpha (see above), so no extra scaling is needed.
-			sp = st.ph.begin(obs.PhaseRecurrenceLC)
+			sp = st.e.BeginPhase(obs.PhaseRecurrenceLC)
 			for k := range st.aqU {
 				vec.SubtractColumns(st.powU[k], st.aqU[k], alpha)
 				if cfg.precond {
@@ -575,7 +569,7 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (res
 				spaces = 2
 			}
 			chargeAxpys(e, st.n, spaces*len(st.aqU)*s)
-			st.ph.end(sp)
+			st.e.EndPhase(sp)
 			if !cfg.pipelined {
 				// Alg. 4: only r was advanced; powers 1..s need s SPMVs.
 				st.computePowers(1, s, true)

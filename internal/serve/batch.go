@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/blockcg"
 	"repro/internal/engine"
-	"repro/internal/krylov"
 	"repro/internal/obs"
 )
 
@@ -83,21 +82,12 @@ func (m *Manager) runBatch(batch []*Job) {
 	defer m.reg.Release(entry)
 	pr := entry.Problem()
 
-	meth, err := krylov.Lookup(req.Method)
+	meth, pc, err := entry.methodPC(req.Method, req.PC)
 	if err != nil {
 		fail(err)
 		return
 	}
-
-	var pc engine.Preconditioner
-	if meth.Preconditioned {
-		pc, err = entry.AcquirePC(req.PC)
-		if err != nil {
-			fail(err)
-			return
-		}
-		defer entry.ReleasePC(req.PC, pc)
-	}
+	defer entry.ReleasePC(req.PC, pc)
 
 	eng := engine.NewSeq(pr.Operator(), pc)
 	// One shared tracer for the gang, anchored once: every member job's

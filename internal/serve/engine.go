@@ -115,10 +115,11 @@ func (j *Job) options(pr bench.Problem, ctx context.Context) krylov.Options {
 }
 
 // run executes one accepted job end to end: pin the operator, check a
-// preconditioner out of its pool (seq) or reuse the cached partition
-// (ranks>1), solve under the job deadline through bench.Run — the pipeline
-// `pipescg` runs, so the iterate is bit-identical to the CLI's — classify the
-// outcome, and fold the job's counters into the service aggregate.
+// preconditioner out of its pool (seq, preconditioned methods only — see
+// Entry.methodPC) or reuse the cached partition (ranks>1), solve under the
+// job deadline through bench.Run — the pipeline `pipescg` runs, so the
+// iterate is bit-identical to the CLI's — classify the outcome, and fold the
+// job's counters into the service aggregate.
 func (m *Manager) run(j *Job) {
 	defer func() { m.met.ObserveLatency(time.Since(j.submitted).Seconds()) }()
 
@@ -188,8 +189,7 @@ func (m *Manager) run(j *Job) {
 			spec.Fabric.WithFault(m.cfg.testFabricFault)
 		}
 	} else {
-		// Run drops the preconditioner for an unpreconditioned method.
-		pc, err := entry.AcquirePC(j.Req.PC)
+		_, pc, err := entry.methodPC(method, j.Req.PC)
 		if err != nil {
 			m.finishJob(j, JobFailed, nil, err)
 			return

@@ -614,8 +614,8 @@ func coalescible(r SolveRequest) bool { return r.Ranks <= 1 && r.Method != Metho
 // cadence (a gang shares one solver loop, so a per-column cadence cannot be
 // honored). RHSSeed is deliberately excluded — distinct right-hand sides are
 // exactly what a block solve batches — as are TimeoutMS (deadlines stay per
-// job under the gang's cancellation wrappers) and IncludeX/JobKey (response
-// shaping).
+// job: each column's solver polls its own job's context) and IncludeX/JobKey
+// (response shaping).
 func coalesceKey(r SolveRequest) string {
 	return fmt.Sprintf("%s|%s|%s|%d|%g|%d|%d",
 		r.ProblemSpec.Key(), r.Method, r.PC, r.S, r.RelTol, r.MaxIter, r.ReplaceEvery)

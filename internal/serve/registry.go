@@ -12,6 +12,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/grid"
+	"repro/internal/krylov"
 	"repro/internal/partition"
 	"repro/internal/sparse"
 )
@@ -113,6 +114,21 @@ func (e *Entry) AcquirePC(pcName string) (engine.Preconditioner, error) {
 	}
 	pool.mu.Unlock()
 	return bench.MakePC(pcName, e.problem)
+}
+
+// methodPC resolves method in the registry and checks pcName out of the
+// entry's pool only when that method applies a preconditioner. Both service
+// paths (solo and coalesced) go through here, so an unpreconditioned method
+// ignores its pc on each of them exactly as bench.Run does, and a job's
+// outcome never depends on whether it was coalesced. Release a non-nil
+// instance with ReleasePC.
+func (e *Entry) methodPC(method, pcName string) (krylov.Method, engine.Preconditioner, error) {
+	m, err := krylov.Lookup(method)
+	if err != nil || !m.Preconditioned {
+		return m, nil, err
+	}
+	pc, err := e.AcquirePC(pcName)
+	return m, pc, err
 }
 
 // ReleasePC returns a checked-out preconditioner to the entry's pool.

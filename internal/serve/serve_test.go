@@ -399,6 +399,36 @@ func TestUploadThenSolve(t *testing.T) {
 	}
 }
 
+// TestUploadOutOfRangeEntryIs400 uploads a MatrixMarket body whose entry
+// lies outside the header's shape: the daemon answers 400 (the parser
+// reports it instead of panicking out of the handler and dropping the
+// connection) and keeps serving uploads and solves afterwards.
+func TestUploadOutOfRangeEntryIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	put := func(body string) *http.Response {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/matrices/x", strings.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("upload: %v", err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	if resp := put("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 4.0\n3 1 -1.0\n"); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("out-of-range upload: status %d, want 400", resp.StatusCode)
+	}
+	if resp := put("%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 4.0\n2 2 4.0\n2 1 -1.0\n"); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("valid upload after a rejected one: status %d", resp.StatusCode)
+	}
+	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/solve", SolveRequest{
+		ProblemSpec: ProblemSpec{Problem: "x"}, Method: "pcg",
+	}))
+	if st.State != JobConverged {
+		t.Fatalf("solve after a rejected upload: state=%s error=%q", st.State, st.Error)
+	}
+}
+
 func TestHealthzAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/solve", SolveRequest{

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -81,7 +82,7 @@ func NewEngine(a *sparse.CSR, pc engine.Preconditioner) *Engine {
 	return e
 }
 
-// BeginPhase implements obs.PhaseTracker by tagging subsequent Charge
+// BeginPhase implements engine.Engine by tagging subsequent Charge
 // events rather than reading any clock: the previous tag is parked in the
 // returned span and restored by EndPhase, so nested sections compose.
 func (e *Engine) BeginPhase(p obs.Phase) obs.Span {
@@ -90,7 +91,7 @@ func (e *Engine) BeginPhase(p obs.Phase) obs.Span {
 	return obs.PhaseMark(prev)
 }
 
-// EndPhase implements obs.PhaseTracker.
+// EndPhase implements engine.Engine.
 func (e *Engine) EndPhase(sp obs.Span) {
 	if sp.Live() {
 		e.curPhase = sp.Phase()
@@ -134,13 +135,13 @@ func (e *Engine) SpMV(dst, src []float64) {
 	e.spmvEvent()
 }
 
-// SpMVFusedDots implements engine.FusedSpMV: same numerics as the fused
+// SpMVFusedDots implements engine.Engine: same numerics as the fused
 // operator kernel (bit-identical to Seq), priced as one SPMV event. The
 // scale/dot payload is charged by the caller, identically on every engine.
 func (e *Engine) SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64) {
 	op := e.op()
 	rows, _ := op.Dims()
-	engine.FusedApply(op, dst, src, 0, rows, 0, scale, ws, dots)
+	op.MulVecFused(dst, src, 0, rows, 0, scale, ws, dots)
 	e.spmvEvent()
 }
 
@@ -157,7 +158,7 @@ func (e *Engine) ApplyPC(dst, src []float64) {
 		bytes: e.pcBytes, p2pRounds: e.pcP2P, allreduces: e.pcAllr})
 }
 
-// SpMVPowers implements engine.PowersKernel: the numerics are plain chained
+// SpMVPowers implements engine.Engine: the numerics are plain chained
 // products; the cost model prices one deep exchange plus the redundant
 // ghost-zone work (Evaluate, case evMPK).
 func (e *Engine) SpMVPowers(dst [][]float64, src []float64) {
@@ -190,6 +191,10 @@ type simRequest struct {
 func (r simRequest) Wait() {
 	r.e.events = append(r.e.events, event{kind: evIWait, id: r.id})
 }
+
+// WaitTimeout records the same wait event as Wait: a simulated reduction
+// completes on the virtual clock, so no deadline can expire.
+func (r simRequest) WaitTimeout(time.Duration) error { r.Wait(); return nil }
 
 // IallreduceSum implements engine.Engine.
 func (e *Engine) IallreduceSum(buf []float64) engine.Request {

@@ -71,6 +71,9 @@ func readMatrixMarket(r io.Reader) (*CSR, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("sparse: bad dimensions %d×%d", rows, cols)
 	}
+	if symmetry == "symmetric" && rows != cols {
+		return nil, fmt.Errorf("sparse: symmetric matrix is %d×%d, not square", rows, cols)
+	}
 	b := NewBuilder(rows, cols)
 	if symmetry == "symmetric" {
 		b.Reserve(2 * nnz)
@@ -104,6 +107,9 @@ func readMatrixMarket(r io.Reader) (*CSR, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sparse: bad value %q: %v", f[2], err)
 			}
+		}
+		if i < 1 || i > rows || j < 1 || j > cols {
+			return nil, fmt.Errorf("sparse: entry (%d,%d) outside %d×%d", i, j, rows, cols)
 		}
 		i, j = i-1, j-1 // MatrixMarket is 1-based
 		b.Add(i, j, v)

@@ -85,6 +85,63 @@ func TestReadMatrixMarketErrors(t *testing.T) {
 	}
 }
 
+// TestReadMatrixMarketOutOfRange feeds entries outside the header's
+// rows×cols (zero, negative and past-the-end indices, and a symmetric file
+// whose mirrored entries would leave a non-square shape): each must come
+// back as an error, never a panic out of the builder.
+func TestReadMatrixMarketOutOfRange(t *testing.T) {
+	cases := map[string]string{
+		"row zero":            "%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n",
+		"col zero":            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 0 1.0\n",
+		"row negative":        "%%MatrixMarket matrix coordinate real general\n2 2 1\n-1 1 1.0\n",
+		"col negative":        "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 -3\n",
+		"row past rows":       "%%MatrixMarket matrix coordinate real general\n2 3 1\n3 1 1.0\n",
+		"col past cols":       "%%MatrixMarket matrix coordinate real general\n3 2 1\n1 3 1.0\n",
+		"symmetric past rows": "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 4.0\n3 1 -1.0\n",
+		"symmetric nonsquare": "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1.0\n",
+	}
+	for name, src := range cases {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panic: %v", p)
+				}
+			}()
+			if _, err := ReadMatrixMarket(strings.NewReader(src)); err == nil {
+				t.Fatal("expected an error")
+			}
+		})
+	}
+}
+
+// FuzzReadMatrixMarket checks that no input panics the parser and that every
+// accepted matrix is well-formed CSR. The committed corpus under
+// testdata/fuzz/FuzzReadMatrixMarket holds the out-of-range entry cases, so
+// plain `go test` replays them.
+func FuzzReadMatrixMarket(f *testing.F) {
+	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 2.0\n1 3 1.0\n2 2 3.0\n3 1 4.0\n"))
+	f.Add([]byte("%%MatrixMarket matrix coordinate pattern symmetric\n2 2 2\n1 1\n2 1\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := ReadMatrixMarket(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(a.RowPtr) != a.Rows+1 || a.RowPtr[0] != 0 || a.RowPtr[a.Rows] != len(a.Col) || len(a.Col) != len(a.Val) {
+			t.Fatalf("malformed CSR: rows %d, rowptr %d, col %d, val %d", a.Rows, len(a.RowPtr), len(a.Col), len(a.Val))
+		}
+		for i := 0; i < a.Rows; i++ {
+			if a.RowPtr[i] > a.RowPtr[i+1] {
+				t.Fatalf("row pointer decreases at row %d", i)
+			}
+		}
+		for _, c := range a.Col {
+			if c < 0 || c >= a.Cols {
+				t.Fatalf("column %d outside 0..%d", c, a.Cols-1)
+			}
+		}
+	})
+}
+
 // gzipped compresses a MatrixMarket source in memory.
 func gzipped(t *testing.T, src []byte) []byte {
 	t.Helper()
